@@ -11,7 +11,7 @@
 //! `session_select_warm/case118` vs `select_mtd_with/case118` pins the
 //! session-layer contract: routing a selection through a warm
 //! [`MtdSession`] must not be slower than hand-threading the hoisted
-//! `H(x_pre)` + QR basis into `select_mtd_with` (the CI gate holds the
+//! QR basis of `H(x_pre)` into `select_mtd_with` (the CI gate holds the
 //! ratio at ≤ 1.05×; on the sparse path the session is strictly faster
 //! because its primed power-flow prototype amortizes the symbolic
 //! factorization the hand-threaded path re-runs per context).
@@ -133,25 +133,19 @@ fn bench_session(c: &mut Criterion) {
         ..MtdConfig::default()
     };
     let gamma_th = 0.0;
-    let warm: std::sync::OnceLock<(
-        Network,
-        Vec<f64>,
-        gridmtd_linalg::Matrix,
-        spa::GammaBasis,
-        MtdSession,
-    )> = std::sync::OnceLock::new();
+    let warm: std::sync::OnceLock<(Network, Vec<f64>, spa::GammaBasis, MtdSession)> =
+        std::sync::OnceLock::new();
     let warm = |cfg: &MtdConfig| {
         warm.get_or_init(|| {
             let net = cases::case118();
             let x_pre = net.nominal_reactances();
-            let h_pre = net.measurement_matrix(&x_pre).unwrap();
-            let basis = spa::GammaBasis::new(&h_pre).unwrap();
+            let basis = spa::GammaBasis::new(&net.measurement_matrix(&x_pre).unwrap()).unwrap();
             let session = MtdSession::builder(net.clone())
                 .config(cfg.clone())
                 .build()
                 .unwrap();
             session.select(gamma_th).unwrap(); // warm every cache once
-            (net, x_pre, h_pre, basis, session)
+            (net, x_pre, basis, session)
         })
     };
 
@@ -159,14 +153,12 @@ fn bench_session(c: &mut Criterion) {
     // cache, frequency ramp) penalizes the first row measured, and the
     // gate must not pass on that accident.
     c.bench_function("select_mtd_with/case118", |b| {
-        let (net, x_pre, h_pre, basis, _) = warm(&cfg);
-        b.iter(|| {
-            selection::select_mtd_with(black_box(net), x_pre, h_pre, basis, gamma_th, &cfg).unwrap()
-        })
+        let (net, x_pre, basis, _) = warm(&cfg);
+        b.iter(|| selection::select_mtd_with(black_box(net), x_pre, basis, gamma_th, &cfg).unwrap())
     });
 
     c.bench_function("session_select_warm/case118", |b| {
-        let (_, _, _, _, session) = warm(&cfg);
+        let (_, _, _, session) = warm(&cfg);
         b.iter(|| black_box(session).select(gamma_th).unwrap())
     });
 }

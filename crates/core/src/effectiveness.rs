@@ -17,12 +17,13 @@
 
 use gridmtd_attack::{AttackerKnowledge, FdiAttack};
 use gridmtd_estimation::{BadDataDetector, EstimatorContext, NoiseModel, StateEstimator};
+use gridmtd_linalg::subspace::OrthonormalBasis;
 use gridmtd_linalg::Matrix;
 use gridmtd_powergrid::{dcpf, Network};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::{spa, MtdConfig, MtdError};
+use crate::{MtdConfig, MtdError};
 
 /// Result of evaluating one MTD perturbation against an attack ensemble.
 #[derive(Debug, Clone, PartialEq)]
@@ -231,7 +232,8 @@ pub fn evaluate_with_attacks(
 
 /// [`evaluate_with_attacks`] with a precomputed `H(x_pre)`; builds the
 /// post-perturbation matrix exactly once (angle metric and detector
-/// share it).
+/// share it) and reads both angles off one eigensolve against a one-off
+/// basis of `H(x_pre)`, bit-identical to [`crate::MtdSession::evaluate`].
 ///
 /// # Errors
 ///
@@ -244,8 +246,7 @@ pub fn evaluate_with_attacks_h(
     cfg: &MtdConfig,
 ) -> Result<MtdEvaluation, MtdError> {
     let h_post = net.measurement_matrix(x_post)?;
-    let gamma = spa::gamma(h_pre, &h_post)?;
-    let smallest_angle = spa::smallest_angle(h_pre, &h_post)?;
+    let (smallest_angle, gamma) = OrthonormalBasis::new(h_pre)?.extreme_angles_to(&h_post)?;
     let bdd = detector_from_h(h_post, cfg)?;
     let detection_probs = detection_probabilities_parallel(&bdd, attacks)?;
     Ok(MtdEvaluation {

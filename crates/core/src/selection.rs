@@ -188,19 +188,18 @@ pub fn select_mtd(
     gamma_th: f64,
     cfg: &MtdConfig,
 ) -> Result<MtdSelection, MtdError> {
-    let h_pre = net.measurement_matrix(x_pre)?;
-    let gamma_basis = spa::GammaBasis::new(&h_pre)?;
-    select_mtd_with(net, x_pre, &h_pre, &gamma_basis, gamma_th, cfg)
+    let gamma_basis = spa::GammaBasis::new(&net.measurement_matrix(x_pre)?)?;
+    select_mtd_with(net, x_pre, &gamma_basis, gamma_th, cfg)
 }
 
-/// [`select_mtd`] with a precomputed pre-perturbation matrix and its
-/// cached QR basis.
+/// [`select_mtd`] with a precomputed QR basis of the pre-perturbation
+/// matrix.
 ///
 /// The timeline tuner evaluates several `γ_th` candidates against the
 /// *same* `H(x_pre)` each hour; hoisting the matrix build and the QR
 /// factorization out of the candidate loop removes the dominant
 /// per-candidate setup cost without changing a single float (the basis
-/// is a pure function of `h_pre`).
+/// is a pure function of `H(x_pre)`).
 ///
 /// # Errors
 ///
@@ -208,20 +207,11 @@ pub fn select_mtd(
 pub fn select_mtd_with(
     net: &Network,
     x_pre: &[f64],
-    h_pre: &gridmtd_linalg::Matrix,
     gamma_basis: &spa::GammaBasis,
     gamma_th: f64,
     cfg: &MtdConfig,
 ) -> Result<MtdSelection, MtdError> {
-    select_mtd_impl(
-        net,
-        x_pre,
-        h_pre,
-        gamma_basis,
-        gamma_th,
-        cfg,
-        &PfContext::new(),
-    )
+    select_mtd_impl(net, x_pre, gamma_basis, gamma_th, cfg, &PfContext::new())
 }
 
 /// [`select_mtd_with`] additionally seeded with a power-flow context
@@ -237,14 +227,13 @@ pub fn select_mtd_with(
 pub(crate) fn select_mtd_impl(
     net: &Network,
     x_pre: &[f64],
-    h_pre: &gridmtd_linalg::Matrix,
     gamma_basis: &spa::GammaBasis,
     gamma_th: f64,
     cfg: &MtdConfig,
     pf_proto: &PfContext,
 ) -> Result<MtdSelection, MtdError> {
     let baseline = prepare_baseline(net, x_pre, cfg, pf_proto)?;
-    select_mtd_seeded(net, x_pre, h_pre, gamma_basis, gamma_th, cfg, &baseline)
+    select_mtd_seeded(net, x_pre, gamma_basis, gamma_th, cfg, &baseline)
 }
 
 /// Baseline OPF state at `x_pre`, reusable across selections against the
@@ -292,7 +281,6 @@ pub(crate) fn prepare_baseline(
 pub(crate) fn select_mtd_seeded(
     net: &Network,
     x_pre: &[f64],
-    h_pre: &gridmtd_linalg::Matrix,
     gamma_basis: &spa::GammaBasis,
     gamma_th: f64,
     cfg: &MtdConfig,
@@ -307,7 +295,7 @@ pub(crate) fn select_mtd_seeded(
     let search = SearchSetup::build(net, x_pre, cfg, baseline);
     match cfg.selection_method {
         SelectionMethod::Gradient => {
-            if let Some(sel) = run_gradient(&search, h_pre, gamma_basis, gamma_th)? {
+            if let Some(sel) = run_gradient(&search, gamma_basis, gamma_th)? {
                 return Ok(sel);
             }
             // The gradient rounds never met the threshold (e.g. every
@@ -315,9 +303,9 @@ pub(crate) fn select_mtd_seeded(
             // The derivative-free search explores more aggressively, so
             // give it the final word before declaring the threshold
             // unreachable.
-            run_nelder_mead(&search, h_pre, gamma_basis, gamma_th)
+            run_nelder_mead(&search, gamma_basis, gamma_th)
         }
-        SelectionMethod::NelderMead => run_nelder_mead(&search, h_pre, gamma_basis, gamma_th),
+        SelectionMethod::NelderMead => run_nelder_mead(&search, gamma_basis, gamma_th),
     }
 }
 
@@ -368,18 +356,18 @@ impl<'a> SearchSetup<'a> {
         }
     }
 
-    /// Audits a candidate with the exact γ and, if it meets the
-    /// threshold, prices it with a penalty-free OPF.
+    /// Audits a candidate with the exact γ against the cached basis and,
+    /// if it meets the threshold, prices it with a penalty-free OPF.
     fn audit(
         &self,
-        h_pre: &gridmtd_linalg::Matrix,
+        gamma_basis: &spa::GammaBasis,
         gamma_th: f64,
         cand: &[f64],
     ) -> Result<Option<MtdSelection>, MtdError> {
         const TOL: f64 = 1e-3;
         let x_post = assemble(&self.x_nominal, &self.dfacts, cand);
         let h_post = self.net.measurement_matrix(&x_post)?;
-        let gamma = spa::gamma(h_pre, &h_post)?;
+        let gamma = gamma_basis.gamma_to(&h_post)?;
         if gamma + TOL < gamma_th {
             return Ok(None);
         }
@@ -410,7 +398,6 @@ impl<'a> SearchSetup<'a> {
 /// can fall back to the derivative-free search.
 fn run_gradient(
     search: &SearchSetup<'_>,
-    h_pre: &gridmtd_linalg::Matrix,
     gamma_basis: &spa::GammaBasis,
     gamma_th: f64,
 ) -> Result<Option<MtdSelection>, MtdError> {
@@ -509,7 +496,7 @@ fn run_gradient(
         if !result.f.is_finite() {
             return Ok(None);
         }
-        if let Some(sel) = search.audit(h_pre, gamma_th, &result.x)? {
+        if let Some(sel) = search.audit(gamma_basis, gamma_th, &result.x)? {
             return Ok(Some(sel));
         }
         penalty_weight *= 25.0;
@@ -521,7 +508,6 @@ fn run_gradient(
 /// penalized objective expressed in γ directly.
 fn run_nelder_mead(
     search: &SearchSetup<'_>,
-    h_pre: &gridmtd_linalg::Matrix,
     gamma_basis: &spa::GammaBasis,
     gamma_th: f64,
 ) -> Result<MtdSelection, MtdError> {
@@ -601,7 +587,7 @@ fn run_nelder_mead(
         if result.f >= INFEASIBLE_COST {
             return Err(MtdError::Infeasible);
         }
-        if let Some(sel) = search.audit(h_pre, gamma_th, &result.x)? {
+        if let Some(sel) = search.audit(gamma_basis, gamma_th, &result.x)? {
             return Ok(sel);
         }
         penalty_weight *= 25.0;

@@ -546,7 +546,6 @@ impl MtdSession {
             selection::select_mtd_seeded(
                 &self.net,
                 &self.x_pre,
-                self.h_pre()?,
                 self.gamma_basis()?,
                 gamma_threshold,
                 &self.cfg,
@@ -578,8 +577,7 @@ impl MtdSession {
         attacks: &[FdiAttack],
     ) -> Result<MtdEvaluation, MtdError> {
         let h_post = net.measurement_matrix(x_post)?;
-        let gamma = self.gamma_basis()?.gamma_to(&h_post)?;
-        let smallest_angle = spa::smallest_angle(self.h_pre()?, &h_post)?;
+        let (gamma, smallest_angle) = self.gamma_basis()?.gamma_and_smallest_to(&h_post)?;
         let bdd = self.detector(h_post)?;
         let detection_probs = effectiveness::detection_probabilities_parallel(&bdd, attacks)?;
         Ok(MtdEvaluation {
@@ -717,7 +715,6 @@ impl MtdSession {
         deltas: &[f64],
     ) -> Result<Vec<RandomTrial>, MtdError> {
         let base = crate::seedstream::domain(self.cfg.seed, 0xfeed);
-        let h_pre = self.h_pre()?;
         let basis = self.gamma_basis()?;
         let trial_ids: Vec<u64> = (0..n_trials as u64).collect();
         parallel::par_map(&trial_ids, |_, &t| {
@@ -725,8 +722,7 @@ impl MtdSession {
             let x_post =
                 selection::random_perturbation(&self.net, &self.x_pre, fraction, &mut rng)?;
             let h_post = self.net.measurement_matrix(&x_post)?;
-            let gamma = basis.gamma_to(&h_post)?;
-            let smallest_angle = spa::smallest_angle(h_pre, &h_post)?;
+            let (gamma, smallest_angle) = basis.gamma_and_smallest_to(&h_post)?;
             // Angles first so `h_post` can move into the detector
             // unclone'd.
             let bdd = self.detector(h_post)?;
@@ -948,7 +944,6 @@ impl MtdSession {
                             let sel = selection::select_mtd_seeded(
                                 &net_now,
                                 &self.x_pre,
-                                h_stale,
                                 stale_basis,
                                 gamma_th,
                                 &self.cfg,

@@ -29,11 +29,13 @@ use gridmtd_linalg::{diff, subspace, Matrix};
 use crate::MtdError;
 
 /// Process-wide count of [`GammaBasis`] constructions (each one is a QR
-/// factorization of the full pre-perturbation measurement matrix).
-/// Warm paths — [`crate::MtdSession`] above all — cache the basis per
-/// `x_pre` and must not rebuild it across repeated selections and
-/// evaluations; the regression guards pin that with this counter, in
-/// the same style as `gridmtd_powergrid::stats`.
+/// factorization of the full pre-perturbation measurement matrix). The
+/// one-off bases of the free functions [`gamma`], [`smallest_angle`] and
+/// [`angles`] are not cached, so they are not counted. Warm paths —
+/// [`crate::MtdSession`] above all — cache the basis per `x_pre` and
+/// must not rebuild it across repeated selections and evaluations; the
+/// regression guards pin that with this counter, in the same style as
+/// `gridmtd_powergrid::stats`.
 static GAMMA_BASIS_BUILDS: AtomicU64 = AtomicU64::new(0);
 
 /// Number of [`GammaBasis`] constructions so far (monotone, relaxed
@@ -46,9 +48,13 @@ pub fn gamma_basis_builds() -> u64 {
 /// `γ(H_pre, ·)` queries.
 ///
 /// The selection optimizer compares one fixed pre-perturbation matrix
-/// against hundreds of candidates; caching the fixed side's QR halves
-/// the per-candidate angle cost. Produces bit-identical values to
-/// [`gamma`].
+/// against hundreds of candidates. Every query — the exact angles, the
+/// differentiable `sin²γ` state — solves the small pencil
+/// `(B − A)c = s·Bc` of the candidate against this basis
+/// ([`gridmtd_linalg::diff`]), so the `m × k` QR of `H_pre` is paid once
+/// per `x_pre` and the candidate is never orthonormalized. Produces
+/// bit-identical values to [`gamma`] and [`smallest_angle`], which
+/// solve the same pencil against a one-off basis.
 #[derive(Debug, Clone)]
 pub struct GammaBasis {
     basis: subspace::OrthonormalBasis,
@@ -76,6 +82,18 @@ impl GammaBasis {
         Ok(self.basis.largest_angle_to(h_post)?)
     }
 
+    /// `(γ, smallest angle)` against the cached basis — the largest and
+    /// the literal smallest principal angle, both from one eigensolve.
+    /// Bit-identical to [`GammaBasis::gamma_to`] and [`smallest_angle`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates shape mismatches and numerical failures.
+    pub fn gamma_and_smallest_to(&self, h_post: &Matrix) -> Result<(f64, f64), MtdError> {
+        let (smallest, largest) = self.basis.extreme_angles_to(h_post)?;
+        Ok((largest, smallest))
+    }
+
     /// Differentiable `sin²γ` state against the cached basis: the value
     /// plus everything needed to map sparse `∂H/∂x_l` stamps
     /// ([`gridmtd_powergrid::Network::measurement_matrix_derivative`])
@@ -90,12 +108,12 @@ impl GammaBasis {
         Ok(diff::sin_sq_largest_angle(&self.basis, h_post)?)
     }
 
-    /// Fast conservative γ estimate for optimizer inner loops: never
-    /// exceeds [`GammaBasis::gamma_to`] and is typically within 1e-9 of
-    /// it, at roughly a tenth of the cost (power iteration instead of a
-    /// full SVD). Penalties computed from this estimate therefore err on
-    /// the side of *over*-satisfying the threshold — the final audit in
-    /// `select_mtd` always re-checks with the exact angle.
+    /// Conservative γ estimate by power iteration, used only by the
+    /// Nelder–Mead inner loop: never exceeds [`GammaBasis::gamma_to`]
+    /// and is typically within 1e-9 of it. Penalties computed from this
+    /// estimate therefore err on the side of *over*-satisfying the
+    /// threshold — the final audit in `select_mtd` always re-checks with
+    /// the exact angle.
     ///
     /// # Errors
     ///
@@ -135,7 +153,9 @@ pub fn gamma(h_pre: &Matrix, h_post: &Matrix) -> Result<f64, MtdError> {
 }
 
 /// The literal smallest principal angle of Definition V.1 (zero whenever
-/// the column spaces intersect, i.e. for every partial-line perturbation).
+/// the column spaces intersect, i.e. for every partial-line perturbation;
+/// the pencil resolves such a zero angle to about `1e-8`, the square
+/// root of its roundoff in `sin²`).
 ///
 /// # Errors
 ///
@@ -238,6 +258,25 @@ mod tests {
             gamma(&h_pre, &h_post).unwrap().to_bits(),
             "cached and direct γ must agree exactly"
         );
+    }
+
+    #[test]
+    fn gamma_and_smallest_match_the_free_functions() {
+        let net = cases::case14();
+        let dfacts = net.dfacts_branches();
+        let (h_pre, h_post) = h14(|l, v| if dfacts.contains(&l) { v * 0.7 } else { v });
+        let (g, small) = GammaBasis::new(&h_pre)
+            .unwrap()
+            .gamma_and_smallest_to(&h_post)
+            .unwrap();
+        assert_eq!(g.to_bits(), gamma(&h_pre, &h_post).unwrap().to_bits());
+        assert_eq!(
+            small.to_bits(),
+            smallest_angle(&h_pre, &h_post).unwrap().to_bits()
+        );
+        let all = angles(&h_pre, &h_post).unwrap();
+        assert_eq!(all.first().map(|a| a.to_bits()), Some(small.to_bits()));
+        assert_eq!(all.last().map(|a| a.to_bits()), Some(g.to_bits()));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! test's reference.
 
 use gridmtd_core::faults::{registry, FaultPlan, Trigger};
-use gridmtd_core::{MtdConfig, MtdSession, SelectionMethod};
+use gridmtd_core::{MtdConfig, MtdError, MtdSession, SelectionMethod};
 use gridmtd_linalg::sparse::{SparseLu, SparseMatrix};
 use gridmtd_linalg::LinalgError;
 use gridmtd_opf::lp::{LpProblem, LpSolution, LpSolver, Relation};
@@ -282,6 +282,48 @@ fn eigen_nonconvergence_fault_degrades_to_typed_error_never_panics() {
         assert_eq!(recovered.gamma.to_bits(), reference.gamma.to_bits());
         assert_eq!(recovered.x_post, reference.x_post);
     }
+}
+
+#[test]
+fn eigen_nonconvergence_on_evaluate_is_typed_and_recovers() {
+    // Every principal angle of an evaluation comes from one pencil
+    // eigensolve against the session's cached basis, so a warm case57
+    // evaluate reaches the QL eigensolver exactly once per call.
+    let net = cases::case57();
+    let mut x_post = net.nominal_reactances();
+    for l in net.dfacts_branches() {
+        x_post[l] *= 1.15;
+    }
+    let (session, reference) = unfaulted(|| {
+        let session = MtdSession::builder(cases::case57())
+            .config(tiny_cfg())
+            .build()
+            .unwrap();
+        let reference = session.evaluate(&x_post).unwrap();
+        (session, reference)
+    });
+
+    let active = FaultPlan::new(19)
+        .fail("linalg.eigen.ql_nonconvergence", Trigger::Once)
+        .activate();
+    let first = session.evaluate(&x_post);
+    assert!(
+        matches!(
+            first,
+            Err(MtdError::Numerical(LinalgError::NonConvergence { .. }))
+        ),
+        "injected QL non-convergence must surface as a typed error, got {first:?}"
+    );
+    assert_eq!(active.fired("linalg.eigen.ql_nonconvergence"), 1);
+    // The warm caches (basis, ensemble, gain symbolic) hold no poisoned
+    // state: the retry reproduces the unfaulted evaluation bit for bit.
+    let second = session.evaluate(&x_post).expect("session must recover");
+    assert_eq!(second.gamma.to_bits(), reference.gamma.to_bits());
+    assert_eq!(
+        second.smallest_angle.to_bits(),
+        reference.smallest_angle.to_bits()
+    );
+    assert_eq!(second.detection_probs, reference.detection_probs);
 }
 
 #[test]

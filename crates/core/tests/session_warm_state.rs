@@ -92,6 +92,26 @@ fn session_reuses_warm_state_and_matches_free_functions() {
         free14,
         "session evaluate must be bit-identical to evaluate_mtd"
     );
+    // The free angle functions solve the same pencil against a one-off
+    // basis: the session's bits, and no cached-basis build counted.
+    let h_pre14 = net14
+        .measurement_matrix(&net14.nominal_reactances())
+        .unwrap();
+    let h_post14 = net14.measurement_matrix(&x_post14).unwrap();
+    let builds_before = spa::gamma_basis_builds();
+    assert_eq!(
+        spa::gamma(&h_pre14, &h_post14).unwrap().to_bits(),
+        free14.gamma.to_bits()
+    );
+    assert_eq!(
+        spa::smallest_angle(&h_pre14, &h_post14).unwrap().to_bits(),
+        free14.smallest_angle.to_bits()
+    );
+    assert_eq!(
+        spa::gamma_basis_builds(),
+        builds_before,
+        "a one-off basis inside spa::gamma is not a cached-basis build"
+    );
 
     // ------------------------------------------------------------------
     // case57 (sparse PF ≥ 48 buses, sparse WLS ≥ 40 states): symbolic

@@ -66,9 +66,8 @@ fn hoisted_paths_do_not_rebuild_fixed_matrices() {
     // builds are the per-candidate objective evaluations, identical on
     // both paths.
     let (n_plain, _) = builds_during(|| selection::select_mtd(&net, &x_pre, 0.05, &cfg).unwrap());
-    let (n_hoisted, _) = builds_during(|| {
-        selection::select_mtd_with(&net, &x_pre, &h_pre, &basis, 0.05, &cfg).unwrap()
-    });
+    let (n_hoisted, _) =
+        builds_during(|| selection::select_mtd_with(&net, &x_pre, &basis, 0.05, &cfg).unwrap());
     assert_eq!(
         n_plain,
         n_hoisted + 1,

@@ -3,10 +3,12 @@
 //!
 //! The selection objective constrains the *largest* principal angle γ
 //! between the pre-perturbation measurement space `span(Q₁)` and a
-//! candidate space `span(H)`. The SVD route in [`crate::subspace`] gives
-//! the angle but no derivative; this module instead works with
-//! `s = sin²γ`, which is a generalized Rayleigh quotient and therefore
-//! analytically differentiable in the entries of `H`.
+//! candidate space `span(H)`. This module works with `s = sin²γ`, which
+//! is a generalized Rayleigh quotient and therefore analytically
+//! differentiable in the entries of `H`. The same pencil is the crate's
+//! only principal-angle engine: [`crate::subspace`] reads every angle
+//! off its full spectrum, this module's [`SinSqState`] adds the
+//! derivative of the top one.
 //!
 //! With `T = Q₁ᵀH`, `A = TᵀT` and `B = HᵀH`, the squared cosines of the
 //! principal angles are the eigenvalues of the pencil `A c = λ B c`, so
@@ -69,7 +71,7 @@ impl SinSqState {
 
     /// The largest principal angle γ itself (radians, `[0, π/2]`).
     pub fn angle(&self) -> f64 {
-        self.value.sqrt().clamp(0.0, 1.0).asin()
+        angle_of_sin_sq(self.value)
     }
 
     /// Directional derivative `∂ sin²γ` for a sparse matrix direction
@@ -125,21 +127,29 @@ fn backward_solve_transposed(l: &Matrix, rhs: &[f64]) -> Vec<f64> {
     x
 }
 
-/// Computes the differentiable `sin²γ` state between `q1` (orthonormal
-/// basis of the reference space) and the column space of `h`.
-///
-/// Deterministic: one Cholesky factorization, one dense SVD, serial
-/// arithmetic — repeated calls on identical inputs are bit-identical.
-///
-/// # Errors
-///
-/// [`LinalgError`] if the shapes are incompatible or `HᵀH` is not
-/// positive definite (rank-deficient `h`).
-pub fn sin_sq_largest_angle(q1: &OrthonormalBasis, h: &Matrix) -> Result<SinSqState, LinalgError> {
+/// The principal-angle pencil `(B − A) c = s B c` between `span(Q₁)`
+/// and `Col(H)`, reduced by congruence to the symmetric eigenproblem
+/// `M w = s w` and solved.
+struct Pencil {
+    /// `T = Q₁ᵀH`.
+    t: Matrix,
+    /// `B = HᵀH`.
+    b: Matrix,
+    /// Cholesky factor `L` of `B`.
+    l: Matrix,
+    /// All eigenpairs of `M = L⁻¹(B − A)L⁻ᵀ`, eigenvalues non-increasing.
+    eig: SymmetricEigen,
+}
+
+/// Assembles and solves the pencil of `q1` against `h`: `T = Q₁ᵀH`,
+/// `B`, `B − A`, the Cholesky factor of `B`, `M` and its eigensolve.
+/// Shared by [`sin_sq_largest_angle`] and [`sin_sq_spectrum`], so the
+/// gradient state and the exact angles read the same eigenpairs.
+fn solve_pencil(q1: &OrthonormalBasis, h: &Matrix) -> Result<Pencil, LinalgError> {
     let q = q1.q();
-    if q.rows() != h.rows() {
+    if q.shape() != h.shape() {
         return Err(LinalgError::ShapeMismatch {
-            op: "sin_sq_largest_angle",
+            op: "principal_angle_pencil",
             lhs: q.shape(),
             rhs: h.shape(),
         });
@@ -148,22 +158,37 @@ pub fn sin_sq_largest_angle(q1: &OrthonormalBasis, h: &Matrix) -> Result<SinSqSt
     // over H's sparse rows (a measurement matrix has a handful of
     // nonzeros per row) instead of Q₁'s dense ones — same products in
     // the same summation order, so the result is unchanged.
-    let t = h.transpose().matmul(q)?.transpose(); // k₁×k₂
+    let t = h.transpose().matmul(q)?.transpose(); // k×k
     let b = h.gram(); // HᵀH
     let a = t.gram(); // HᵀP₁H
     let c_mat = b.try_sub(&a)?; // ((I−P₁)H)ᵀ((I−P₁)H)
-    let chol = Cholesky::factor(&b)?;
+    let l = Cholesky::factor(&b)?.l();
 
     // Congruence to an ordinary symmetric PSD eigenproblem: with
     // B = LLᵀ, the pencil (B−A)c = sBc becomes M w = s w for
     // M = L⁻¹(B−A)L⁻ᵀ and w = Lᵀc. The symmetric eigensolver reads only
     // the lower triangle, absorbing the roundoff asymmetry the two
-    // triangular solves introduce; its leading eigenpair is the largest
-    // principal-angle pair.
-    let l = chol.l();
+    // triangular solves introduce.
     let w_half = forward_solve_matrix(&l, &c_mat); // L⁻¹(B−A)
     let m = forward_solve_matrix(&l, &w_half.transpose()); // L⁻¹(B−A)ᵀL⁻ᵀ = M
     let eig = SymmetricEigen::compute(&m)?;
+    Ok(Pencil { t, b, l, eig })
+}
+
+/// Computes the differentiable `sin²γ` state between `q1` (orthonormal
+/// basis of the reference space) and the column space of `h`: the
+/// leading eigenpair of the pencil, mapped back through `c = L⁻ᵀw`.
+///
+/// Deterministic: one Cholesky factorization, one symmetric
+/// eigensolve, serial arithmetic — repeated calls on identical inputs
+/// are bit-identical.
+///
+/// # Errors
+///
+/// [`LinalgError`] if the shapes differ or `HᵀH` is not positive
+/// definite (rank-deficient `h`).
+pub fn sin_sq_largest_angle(q1: &OrthonormalBasis, h: &Matrix) -> Result<SinSqState, LinalgError> {
+    let Pencil { t, b, l, eig } = solve_pencil(q1, h)?;
     let s = eig.values().first().copied().unwrap_or(0.0);
     let s = s.clamp(0.0, 1.0);
     let w = eig.vector(0);
@@ -175,7 +200,7 @@ pub fn sin_sq_largest_angle(q1: &OrthonormalBasis, h: &Matrix) -> Result<SinSqSt
 
     let v = h.matvec(&z)?; // Hc
     let tc = t.matvec(&z)?;
-    let u = q.matvec(&tc)?; // P₁Hc = Q₁(Q₁ᵀH)c
+    let u = q1.q().matvec(&tc)?; // P₁Hc = Q₁(Q₁ᵀH)c
     let bz = b.matvec(&z)?;
     let denom = vector::dot(&z, &bz).max(1e-300);
     let weights: Vec<f64> = v
@@ -191,10 +216,34 @@ pub fn sin_sq_largest_angle(q1: &OrthonormalBasis, h: &Matrix) -> Result<SinSqSt
     })
 }
 
+/// `sin²θ` of every principal angle between `q1` and `Col(h)`, each
+/// clamped to `[0, 1]`, in non-increasing order (largest angle first):
+/// the full spectrum of the same pencil [`sin_sq_largest_angle`] reads
+/// its top eigenpair from.
+///
+/// # Errors
+///
+/// As [`sin_sq_largest_angle`]; a column-count mismatch is a
+/// [`LinalgError::ShapeMismatch`].
+pub(crate) fn sin_sq_spectrum(q1: &OrthonormalBasis, h: &Matrix) -> Result<Vec<f64>, LinalgError> {
+    let pencil = solve_pencil(q1, h)?;
+    Ok(pencil
+        .eig
+        .values()
+        .iter()
+        .map(|s| s.clamp(0.0, 1.0))
+        .collect())
+}
+
+/// The angle `θ = asin(√s) ∈ [0, π/2]` of a clamped `s = sin²θ`.
+pub(crate) fn angle_of_sin_sq(s: f64) -> f64 {
+    s.sqrt().clamp(0.0, 1.0).asin()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::subspace;
+    use crate::{qr, Svd};
 
     /// Deterministic pseudo-random matrix from a linear congruential
     /// stream — test-only, keeps the crate free of RNG dependencies.
@@ -215,10 +264,18 @@ mod tests {
             let h2 = lcg_matrix(12, 4, seed ^ 0xabcd);
             let q1 = OrthonormalBasis::new(&h1).unwrap();
             let state = sin_sq_largest_angle(&q1, &h2).unwrap();
-            let gamma = subspace::largest_principal_angle(&h1, &h2).unwrap();
+            // Björck–Golub oracle: the smallest singular value of Q₁ᵀQ₂
+            // is the cosine of the largest principal angle.
+            let cosines = qr::orthonormal_basis(&h1)
+                .unwrap()
+                .transpose()
+                .matmul(&qr::orthonormal_basis(&h2).unwrap())
+                .unwrap();
+            let svd = Svd::compute(&cosines).unwrap();
+            let gamma = svd.singular_values()[3].clamp(0.0, 1.0).acos();
             assert!(
                 (state.angle() - gamma).abs() < 1e-9,
-                "seed {seed}: power-iteration angle {} vs SVD angle {gamma}",
+                "seed {seed}: pencil angle {} vs SVD angle {gamma}",
                 state.angle()
             );
         }

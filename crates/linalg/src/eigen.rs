@@ -1,13 +1,14 @@
 //! Dense symmetric eigendecomposition via Householder tridiagonalization
 //! and the implicit-shift QL iteration.
 //!
-//! The differentiable subspace-angle state ([`crate::diff`]) needs the
-//! dominant eigenpair of a dense symmetric positive-semidefinite matrix
-//! once per optimizer evaluation. The one-sided Jacobi [`crate::Svd`]
-//! delivers that eigenpair, but pays for full 1e-14 mutual orthogonality
-//! of *every* column — two orders of magnitude more work than the
-//! classic tridiagonalize-then-QL route at the `~10²` sizes the
-//! selection loop sees. This module implements that route:
+//! Every principal-angle query ([`crate::diff`], [`crate::subspace`])
+//! solves one dense symmetric positive-semidefinite eigenproblem — the
+//! selection loop once per optimizer evaluation. The one-sided Jacobi
+//! [`crate::Svd`] could deliver those eigenpairs, but pays for full
+//! 1e-14 mutual orthogonality of *every* column — two orders of
+//! magnitude more work than the classic tridiagonalize-then-QL route at
+//! the `~10²` sizes the pipeline sees. This module implements that
+//! route:
 //!
 //! 1. **Householder reduction** (`tred2`): `A = Q T Qᵀ` with `T`
 //!    tridiagonal, accumulating `Q` — `O(n³)` with a small constant.

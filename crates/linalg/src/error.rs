@@ -18,7 +18,7 @@ pub enum LinalgError {
     /// A Cholesky factorization was requested for a matrix that is not
     /// symmetric positive definite.
     NotPositiveDefinite,
-    /// An iterative kernel (Jacobi SVD) failed to converge.
+    /// An iterative kernel (Jacobi SVD, QL eigensolver) failed to converge.
     NonConvergence {
         /// The kernel that failed.
         op: &'static str,

@@ -9,9 +9,12 @@
 //! * residual projectors `I − H(HᵀWH)⁻¹HᵀW`,
 //! * column-space geometry: orthonormal bases ([`Qr`]), ranks and
 //!   **principal angles between subspaces** ([`subspace::principal_angles`],
-//!   [`subspace::smallest_principal_angle`]) computed with the
-//!   Björck–Golub SVD method,
-//! * a singular value decomposition ([`Svd`], one-sided Jacobi).
+//!   [`subspace::largest_principal_angle`] — the MTD metric γ), all read
+//!   off one generalized symmetric eigenproblem `(B − A)c = s·Bc` against
+//!   a cached orthonormal basis ([`diff`], [`SymmetricEigen`]), whose top
+//!   eigenpair also gives the analytic γ-gradient,
+//! * a singular value decomposition ([`Svd`], one-sided Jacobi) for rank
+//!   checks.
 //!
 //! The dense kernels operate on a row-major [`Matrix`] type and remain
 //! the right tool below a few dozen states (no index overhead, byte
@@ -32,7 +35,7 @@
 //! # fn main() -> Result<(), gridmtd_linalg::LinalgError> {
 //! let h = Matrix::from_rows(&[&[1.0], &[0.0], &[0.0]])?;
 //! let h2 = Matrix::from_rows(&[&[1.0], &[1.0], &[0.0]])?;
-//! let gamma = subspace::smallest_principal_angle(&h, &h2)?;
+//! let gamma = subspace::largest_principal_angle(&h, &h2)?;
 //! assert!((gamma - std::f64::consts::FRAC_PI_4).abs() < 1e-12);
 //! # Ok(())
 //! # }

@@ -4,8 +4,8 @@ use crate::{LinalgError, Matrix, RANK_TOL};
 /// `m ≥ n`.
 ///
 /// The thin orthonormal factor `Q₁ ∈ R^{m×n}` is the orthonormal basis of
-/// `Col(A)` used by the Björck–Golub principal-angle computation
-/// ([`crate::subspace`]), and QR least squares backs the state estimator
+/// `Col(A)` that principal-angle queries are solved against
+/// ([`crate::subspace::OrthonormalBasis`]), and QR least squares backs the state estimator
 /// when the normal equations are ill-conditioned.
 ///
 /// # Example

@@ -1,30 +1,36 @@
 //! Column-space geometry: orthonormal bases, projectors and principal
 //! angles between subspaces.
 //!
-//! The MTD design criterion of the paper (Section V-C) is the **smallest
-//! principal angle** `γ(H, H')` between the column spaces of the
-//! pre-perturbation and post-perturbation measurement matrices. Angles are
-//! computed with the Björck–Golub method: if `Q₁`, `Q₂` are orthonormal
-//! bases of the two subspaces, the cosines of the principal angles are the
-//! singular values of `Q₁ᵀQ₂`.
+//! The MTD design criterion of the paper (Section V-C) is the subspace
+//! angle `γ(H, H')` between the column spaces of the pre-perturbation and
+//! post-perturbation measurement matrices; the pipeline uses the
+//! **largest** principal angle (`gridmtd_core::spa` explains why the
+//! literal smallest angle of Definition V.1 is identically zero for
+//! partial-line perturbations). Every principal angle comes from one
+//! generalized symmetric eigenproblem against a cached orthonormal basis
+//! `Q₁` of the first space: with `B = HᵀH` and `A = HᵀQ₁Q₁ᵀH`, the
+//! eigenvalues of the pencil `(B − A) c = s B c` are the squared sines of
+//! the principal angles ([`crate::diff`] assembles and solves it). The
+//! second space is never orthonormalized, so one angle query costs one
+//! `k×k` Cholesky factorization and one symmetric eigensolve.
 //!
-//! Definition V.1 of the paper defines the *smallest* principal angle as
-//! the one maximizing `|uᵀv|`, i.e. `cos γ = σ_max(Q₁ᵀQ₂)`, so
-//! `γ ∈ [0, π/2]` with `γ = 0` for intersecting subspaces and `γ = π/2`
-//! for orthogonal ones.
+//! Angles lie in `[0, π/2]`: `0` for a shared direction, `π/2` for a
+//! direction orthogonal to the other space.
 
-use crate::{qr, LinalgError, Matrix, Svd};
+use crate::diff::{angle_of_sin_sq, sin_sq_spectrum};
+use crate::{qr, LinalgError, Matrix};
 
 /// All principal angles (radians, non-decreasing) between `Col(a)` and
 /// `Col(b)`.
 ///
-/// Both inputs must be tall full-column-rank matrices with the same number
-/// of rows; the number of angles returned is `min(a.cols(), b.cols())`.
+/// Both inputs must be tall full-column-rank matrices of the same shape;
+/// one angle is returned per column.
 ///
 /// # Errors
 ///
-/// * [`LinalgError::ShapeMismatch`] if the row counts differ.
-/// * Propagates QR/SVD failures for degenerate inputs.
+/// * [`LinalgError::ShapeMismatch`] if the shapes differ.
+/// * Propagates QR, Cholesky and eigensolver failures for degenerate
+///   inputs.
 pub fn principal_angles(a: &Matrix, b: &Matrix) -> Result<Vec<f64>, LinalgError> {
     OrthonormalBasis::new(a)?.angles_to(b)
 }
@@ -32,10 +38,10 @@ pub fn principal_angles(a: &Matrix, b: &Matrix) -> Result<Vec<f64>, LinalgError>
 /// A precomputed orthonormal basis of one column space, for computing
 /// principal angles against many other subspaces.
 ///
-/// The Björck–Golub method orthonormalizes *both* matrices per angle
-/// query; when one side is fixed (the pre-perturbation measurement
-/// matrix inside a selection sweep, compared against hundreds of
-/// candidates), caching its `Q` halves the per-query QR work.
+/// The fixed side (the pre-perturbation measurement matrix inside a
+/// selection sweep, compared against hundreds of candidates) is
+/// orthonormalized once; each query then solves only the small pencil
+/// of the other side against it.
 #[derive(Debug, Clone)]
 pub struct OrthonormalBasis {
     q: Matrix,
@@ -63,35 +69,31 @@ impl OrthonormalBasis {
     ///
     /// # Errors
     ///
-    /// * [`LinalgError::ShapeMismatch`] if the row counts differ.
-    /// * Propagates QR/SVD failures for degenerate inputs.
+    /// * [`LinalgError::ShapeMismatch`] if `b` does not have the shape of
+    ///   the cached basis.
+    /// * [`LinalgError::NotPositiveDefinite`] if `b` is numerically
+    ///   column-rank deficient.
+    /// * [`LinalgError::NonConvergence`] if the eigensolver fails.
     pub fn angles_to(&self, b: &Matrix) -> Result<Vec<f64>, LinalgError> {
-        if self.q.rows() != b.rows() {
-            return Err(LinalgError::ShapeMismatch {
-                op: "principal_angles",
-                lhs: self.q.shape(),
-                rhs: b.shape(),
-            });
+        Ok(sin_sq_spectrum(self, b)?
+            .into_iter()
+            .rev()
+            .map(angle_of_sin_sq)
+            .collect())
+    }
+
+    /// The `(smallest, largest)` principal angles between the cached
+    /// subspace and `Col(b)`, both read off one eigensolve.
+    ///
+    /// # Errors
+    ///
+    /// See [`OrthonormalBasis::angles_to`].
+    pub fn extreme_angles_to(&self, b: &Matrix) -> Result<(f64, f64), LinalgError> {
+        let spectrum = sin_sq_spectrum(self, b)?;
+        match (spectrum.last(), spectrum.first()) {
+            (Some(&lo), Some(&hi)) => Ok((angle_of_sin_sq(lo), angle_of_sin_sq(hi))),
+            _ => Err(LinalgError::Empty),
         }
-        let q2 = qr::orthonormal_basis(b)?;
-        let m = self.q.transpose().matmul(&q2)?;
-        // SVD needs rows >= cols.
-        let tall = if m.rows() >= m.cols() {
-            m
-        } else {
-            m.transpose()
-        };
-        let svd = Svd::compute(&tall)?;
-        // Clamp to [0, 1]: roundoff can push cosines slightly above 1.
-        let mut angles: Vec<f64> = svd
-            .singular_values()
-            .iter()
-            .map(|&c| c.clamp(0.0, 1.0).acos())
-            .collect();
-        // Singular values are sorted descending => angles ascending
-        // already, but make the contract explicit.
-        angles.sort_by(|x, y| x.partial_cmp(y).expect("NaN angle"));
-        Ok(angles)
     }
 
     /// The largest principal angle between the cached subspace and
@@ -101,10 +103,7 @@ impl OrthonormalBasis {
     ///
     /// See [`OrthonormalBasis::angles_to`].
     pub fn largest_angle_to(&self, b: &Matrix) -> Result<f64, LinalgError> {
-        Ok(*self
-            .angles_to(b)?
-            .last()
-            .expect("at least one angle for non-empty inputs"))
+        Ok(self.extreme_angles_to(b)?.1)
     }
 
     /// Fast deterministic estimate of the largest principal angle,
@@ -113,7 +112,7 @@ impl OrthonormalBasis {
     /// Uses the sine characterization: the singular values of
     /// `(I − Q₁Q₁ᵀ)Q₂` are the sines of the principal angles, and the
     /// largest one is extracted by power iteration on the small Gram
-    /// matrix — avoiding the full SVD entirely. The Rayleigh-quotient
+    /// matrix — avoiding the eigensolve entirely. The Rayleigh-quotient
     /// estimate converges from below, so the returned angle **never
     /// exceeds** the exact [`OrthonormalBasis::largest_angle_to`]; after
     /// convergence (relative change `< 1e-13`, at most 200 sweeps) the
@@ -174,7 +173,7 @@ impl OrthonormalBasis {
 ///
 /// See [`principal_angles`].
 pub fn smallest_principal_angle(a: &Matrix, b: &Matrix) -> Result<f64, LinalgError> {
-    Ok(principal_angles(a, b)?[0])
+    Ok(OrthonormalBasis::new(a)?.extreme_angles_to(b)?.0)
 }
 
 /// The largest principal angle between the two column spaces.
@@ -183,9 +182,7 @@ pub fn smallest_principal_angle(a: &Matrix, b: &Matrix) -> Result<f64, LinalgErr
 ///
 /// See [`principal_angles`].
 pub fn largest_principal_angle(a: &Matrix, b: &Matrix) -> Result<f64, LinalgError> {
-    Ok(*principal_angles(a, b)?
-        .last()
-        .expect("at least one angle for non-empty inputs"))
+    OrthonormalBasis::new(a)?.largest_angle_to(b)
 }
 
 /// Orthogonal projector `P = Q Qᵀ` onto `Col(a)`.
@@ -263,7 +260,7 @@ mod tests {
 
     #[test]
     fn orthogonal_subspaces_have_right_angle() {
-        let a = Matrix::from_rows(&[&[1.0], &[0.0], &[0.0], &[0.0]]).unwrap();
+        let a = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 0.0], &[0.0, 0.0], &[0.0, 1.0]]).unwrap();
         let b = Matrix::from_rows(&[&[0.0, 0.0], &[1.0, 0.0], &[0.0, 1.0], &[0.0, 0.0]]).unwrap();
         let gamma = smallest_principal_angle(&a, &b).unwrap();
         assert!((gamma - FRAC_PI_2).abs() < 1e-12);
@@ -309,6 +306,23 @@ mod tests {
     }
 
     #[test]
+    fn mismatched_column_counts_is_a_shape_error() {
+        let a = Matrix::from_rows(&[&[1.0], &[0.0], &[0.0]]).unwrap();
+        let b = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0], &[0.0, 1.0]]).unwrap();
+        for outcome in [
+            principal_angles(&a, &b).map(drop),
+            principal_angles(&b, &a).map(drop),
+            smallest_principal_angle(&a, &b).map(drop),
+            largest_principal_angle(&b, &a).map(drop),
+        ] {
+            assert!(
+                matches!(outcome, Err(LinalgError::ShapeMismatch { .. })),
+                "{outcome:?}"
+            );
+        }
+    }
+
+    #[test]
     fn approx_largest_angle_tracks_exact_from_below() {
         let a = Matrix::from_rows(&[&[1.0, 0.3], &[0.2, 1.0], &[0.5, -0.4], &[0.0, 0.8]]).unwrap();
         let basis = OrthonormalBasis::new(&a).unwrap();
@@ -346,6 +360,11 @@ mod tests {
         assert_eq!(
             basis.largest_angle_to(&b).unwrap(),
             largest_principal_angle(&a, &b).unwrap()
+        );
+        assert_eq!(
+            basis.extreme_angles_to(&b).unwrap(),
+            (cached[0], cached[1]),
+            "the extremes come from the same spectrum"
         );
     }
 

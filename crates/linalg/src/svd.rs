@@ -6,9 +6,9 @@ use crate::{LinalgError, Matrix, RANK_TOL};
 /// One-sided Jacobi applies Givens rotations from the right until the
 /// columns of the working matrix are mutually orthogonal; the column norms
 /// are then the singular values. It is simple, numerically robust and very
-/// accurate for small singular values — exactly what the principal-angle
-/// computation needs (the cosines of principal angles are singular values
-/// of `Q₁ᵀQ₂`, all of them in `[0, 1]`).
+/// accurate for small singular values, which is what the rank checks need
+/// (principal angles come from [`crate::diff`]'s pencil instead; the
+/// Björck–Golub SVD of `Q₁ᵀQ₂` survives only as a test oracle).
 ///
 /// # Example
 ///

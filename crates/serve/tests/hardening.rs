@@ -228,10 +228,24 @@ fn client_retry_surrenders_the_last_overloaded_answer_at_budget_end() {
         }
         std::thread::sleep(Duration::from_millis(5));
     }
-    // Fill the one queue slot so every retry attempt below sheds.
+    // Fill the one queue slot so every retry attempt below sheds. The
+    // frame races the probe below to the slot; whichever loses is shed,
+    // and only then is the slot known to be taken (the worker is still
+    // busy with the case57 select).
     occupier
         .send_raw(&select_frame(2, "case57", 3, 0.012, ""))
         .unwrap();
+    let mut probe = Client::connect(server.local_addr()).unwrap();
+    probe
+        .send_raw(&select_frame(3, "case57", 3, 0.014, ""))
+        .unwrap();
+    for _ in 0..400 {
+        if server.stats().shed >= 1 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(server.stats().shed, 1, "the queue slot must be taken");
 
     let opts = RetryOptions {
         attempts: 3,
@@ -251,6 +265,6 @@ fn client_retry_surrenders_the_last_overloaded_answer_at_budget_end() {
         "budget end must surrender the typed shed answer, got: {line}"
     );
     assert_eq!(attempts, opts.attempts);
-    assert!(server.stats().shed >= u64::from(opts.attempts));
+    assert!(server.stats().shed > u64::from(opts.attempts));
     server.shutdown();
 }
