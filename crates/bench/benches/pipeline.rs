@@ -4,7 +4,7 @@
 //!
 //! `dc_opf/*` measures the **in-loop** workload — a persistent
 //! [`OpfContext`] whose LP warm-starts from the previous basis while the
-//! reactances drift, exactly how `select_mtd`'s Nelder–Mead trajectory
+//! reactances drift, exactly how `select_mtd`'s L-BFGS trajectory
 //! consumes the solver. `dc_opf_cold/*` keeps the from-scratch reference
 //! visible.
 //!
@@ -19,7 +19,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use gridmtd_core::{effectiveness, selection, spa, MtdConfig, MtdSession, SelectionMethod};
+use gridmtd_core::{effectiveness, selection, spa, MtdConfig, MtdSession};
 use gridmtd_opf::{solve_opf, solve_opf_with, OpfContext, OpfOptions};
 use gridmtd_powergrid::{cases, Network};
 
@@ -163,25 +163,21 @@ fn bench_session(c: &mut Criterion) {
     });
 }
 
-fn bench_selection_methods(c: &mut Criterion) {
-    // The PR8 contract rows: the analytic-gradient selection (the
-    // default method) on both sparse-path cases, plus the
-    // derivative-free reference on case118 at the identical budget and
-    // threshold. Each runs through its own warm session — the serving
+fn bench_gradient_selection(c: &mut Criterion) {
+    // The gradient-selection contract rows on both sparse-path cases.
+    // Each runs through its own warm session — the serving
     // configuration — so the rows measure the steady-state selection
-    // cost, not H builds or symbolic factorizations. The CI gates hold
-    // the gradient rows at ≤ 2x their committed baseline and the
-    // case118 gradient/Nelder–Mead ratio at ≤ 0.25 within one run.
+    // cost, not H builds or symbolic factorizations. The CI gate holds
+    // both rows at ≤ 2x their committed baseline.
     let gamma_th = 0.0;
-    let budgeted = |method: SelectionMethod| MtdConfig {
+    let budgeted = MtdConfig {
         n_starts: 1,
         max_evals_per_start: 20,
-        selection_method: method,
         ..MtdConfig::default()
     };
-    let warm_session = |net: Network, method: SelectionMethod| {
+    let warm_session = |net: Network| {
         let session = MtdSession::builder(net)
-            .config(budgeted(method))
+            .config(budgeted.clone())
             .build()
             .unwrap();
         session.select(gamma_th).unwrap(); // fill every warm cache once
@@ -190,19 +186,13 @@ fn bench_selection_methods(c: &mut Criterion) {
 
     let grad57: std::sync::OnceLock<MtdSession> = std::sync::OnceLock::new();
     c.bench_function("select_mtd_grad/case57", |b| {
-        let s = grad57.get_or_init(|| warm_session(cases::case57(), SelectionMethod::Gradient));
+        let s = grad57.get_or_init(|| warm_session(cases::case57()));
         b.iter(|| black_box(s).select(gamma_th).unwrap())
     });
 
     let grad118: std::sync::OnceLock<MtdSession> = std::sync::OnceLock::new();
     c.bench_function("select_mtd_grad/case118", |b| {
-        let s = grad118.get_or_init(|| warm_session(cases::case118(), SelectionMethod::Gradient));
-        b.iter(|| black_box(s).select(gamma_th).unwrap())
-    });
-
-    let nm118: std::sync::OnceLock<MtdSession> = std::sync::OnceLock::new();
-    c.bench_function("select_mtd_nm/case118", |b| {
-        let s = nm118.get_or_init(|| warm_session(cases::case118(), SelectionMethod::NelderMead));
+        let s = grad118.get_or_init(|| warm_session(cases::case118()));
         b.iter(|| black_box(s).select(gamma_th).unwrap())
     });
 }
@@ -219,6 +209,6 @@ criterion_group! {
 criterion_group! {
     name = session_pipeline;
     config = Criterion::default().sample_size(3).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_session, bench_selection_methods
+    targets = bench_session, bench_gradient_selection
 }
 criterion_main!(pipeline, session_pipeline);

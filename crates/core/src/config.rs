@@ -5,46 +5,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::MtdError;
 
-/// Outer search strategy for the SPA-constrained OPF (problem (4)).
-///
-/// Both strategies share the exterior-penalty formulation, the adaptive
-/// penalty schedule, the multistart seed streams and the exact-γ audit;
-/// they differ only in the inner minimizer driving each start.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum SelectionMethod {
-    /// Projected L-BFGS on analytic gradients: OPF cost via LP duals
-    /// (envelope theorem) and `sin²γ` via the differentiable
-    /// subspace-angle state. Converges in a handful of evaluations and
-    /// is the default. Falls back to [`SelectionMethod::NelderMead`]
-    /// automatically when the penalty rounds fail to reach `γ_th`.
-    #[default]
-    Gradient,
-    /// Derivative-free multistart Nelder–Mead — the original
-    /// fmincon/MultiStart analogue of the paper's Section VII-A. Slower
-    /// but independent of the analytic-gradient machinery; kept as a
-    /// config-selectable cross-check.
-    NelderMead,
-}
-
-impl SelectionMethod {
-    /// Canonical config-file spelling (`"gradient"` / `"nelder-mead"`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SelectionMethod::Gradient => "gradient",
-            SelectionMethod::NelderMead => "nelder-mead",
-        }
-    }
-
-    /// Parses the canonical spelling; `None` for anything else.
-    pub fn parse(s: &str) -> Option<SelectionMethod> {
-        match s {
-            "gradient" => Some(SelectionMethod::Gradient),
-            "nelder-mead" => Some(SelectionMethod::NelderMead),
-            _ => None,
-        }
-    }
-}
-
 /// Configuration for MTD evaluation and selection.
 ///
 /// Defaults follow the paper's Section VII-A where the paper specifies a
@@ -67,14 +27,13 @@ pub struct MtdConfig {
     pub eta_max: f64,
     /// RNG seed for attack sampling and multistart.
     pub seed: u64,
-    /// Multistart count for the SPA-constrained OPF (fmincon/MultiStart
-    /// analogue).
+    /// Multistart count for the SPA-constrained OPF and the γ-ceiling
+    /// search (fmincon/MultiStart analogue).
     pub n_starts: usize,
-    /// Budget of one optimizer run inside the selection search
-    /// (objective evaluations, line-search trials included).
+    /// Budget of one optimizer run inside the selection searches
+    /// (objective evaluations, line-search trials included); also the
+    /// budget of the problem-(1) baseline search.
     pub max_evals_per_start: usize,
-    /// Outer minimizer for the SPA-constrained OPF.
-    pub selection_method: SelectionMethod,
     /// Inner DC-OPF options.
     pub opf: OpfOptionsSerde,
 }
@@ -98,7 +57,6 @@ impl Default for MtdConfig {
             seed: 1,
             n_starts: 6,
             max_evals_per_start: 400,
-            selection_method: SelectionMethod::Gradient,
             opf: OpfOptionsSerde { pwl_segments: 10 },
         }
     }
@@ -123,7 +81,8 @@ impl MtdConfig {
         }
     }
 
-    /// Nelder–Mead options for one selection start.
+    /// Nelder–Mead options for the problem-(1) baseline search
+    /// ([`crate::selection::baseline_opf`]).
     pub fn nm_options(&self) -> NelderMeadOptions {
         NelderMeadOptions {
             max_evals: self.max_evals_per_start,
@@ -131,8 +90,8 @@ impl MtdConfig {
         }
     }
 
-    /// Projected L-BFGS options for one selection start (same evaluation
-    /// budget as the Nelder–Mead path it replaces).
+    /// Projected L-BFGS options for one start of the problem-(4) search
+    /// and of the γ-ceiling search.
     pub fn lbfgs_options(&self) -> LbfgsOptions {
         LbfgsOptions {
             max_evals: self.max_evals_per_start,

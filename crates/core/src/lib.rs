@@ -18,8 +18,7 @@
 //! 4. [`selection`] — perturbation selection: the random baseline of
 //!    prior work, max-angle search, and the SPA-constrained OPF
 //!    (problem (4)) via exterior penalty driven by multistart projected
-//!    L-BFGS on analytic gradients (Nelder–Mead as the derivative-free
-//!    fallback and cross-check);
+//!    L-BFGS on analytic gradients;
 //! 5. [`cost`] / [`tradeoff`] — the operational-cost metric and the
 //!    effectiveness-vs-cost sweep (Figs. 6, 9);
 //! 6. [`timeline`] — hourly MTD operation over a daily load trace
@@ -81,7 +80,7 @@ pub mod theory;
 pub mod timeline;
 pub mod tradeoff;
 
-pub use config::{MtdConfig, OpfOptionsSerde, SelectionMethod};
+pub use config::{MtdConfig, OpfOptionsSerde};
 pub use effectiveness::MtdEvaluation;
 pub use error::MtdError;
 pub use learning::{attacker_learning_study, LearningOptions, LearningPoint};

@@ -11,24 +11,25 @@
 //!    `γ_th` (used to bound the tradeoff sweep).
 //! 3. [`select_mtd`] — the paper's problem (4): minimize OPF cost
 //!    subject to `γ(H_t, H'(x')) ≥ γ_th` and the DC-OPF constraints,
-//!    with an adaptive exterior penalty on the angle constraint. The
-//!    outer minimizer is chosen by [`MtdConfig::selection_method`]:
-//!    the default drives each start with projected L-BFGS on **analytic
-//!    gradients** — OPF cost differentiated through the LP duals
-//!    (envelope theorem), `sin²γ` through the measurement-matrix stamps
-//!    and the differentiable subspace-angle state — and falls back to
-//!    the derivative-free multistart Nelder–Mead (the equivalent of the
-//!    paper's fmincon/MultiStart) if the gradient rounds fail to reach
-//!    the threshold.
+//!    with an adaptive exterior penalty on the angle constraint.
+//!
+//! Both searches over the D-FACTS box run multistart projected L-BFGS
+//! on **analytic gradients** (the stand-in for the paper's
+//! fmincon/MultiStart): `sin²γ` is differentiated through the
+//! measurement-matrix stamps and the differentiable subspace-angle
+//! state, and problem (4)'s OPF cost through the LP duals (envelope
+//! theorem). Only the problem-(1) baseline, [`baseline_opf`], keeps a
+//! derivative-free local search (see its docs for why).
 
+use gridmtd_linalg::diff::SinSqState;
 use gridmtd_opf::{
-    multistart, multistart_lbfgs_threads, multistart_stateful, solve_opf_grad_with, solve_opf_with,
-    OpfContext, OpfError, OpfOptions, OpfSolution,
+    multistart_lbfgs_threads, solve_opf_grad_with, solve_opf_with, OpfContext, OpfError,
+    OpfOptions, OpfSolution,
 };
 use gridmtd_powergrid::{dcpf::PfContext, GridError, Network};
 use rand::Rng;
 
-use crate::{spa, MtdConfig, MtdError, SelectionMethod};
+use crate::{spa, MtdConfig, MtdError};
 
 /// A selected MTD perturbation with its audit trail.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,6 +92,49 @@ fn assemble(x_nominal: &[f64], dfacts: &[usize], candidate: &[f64]) -> Vec<f64> 
     x
 }
 
+/// The D-FACTS branches and their reactance box `[lo, hi]` at `eta_max`.
+fn dfacts_box(net: &Network, eta_max: f64) -> (Vec<usize>, Vec<f64>, Vec<f64>) {
+    let dfacts = net.dfacts_branches();
+    let (lo_full, hi_full) = net.reactance_bounds(eta_max);
+    let lo = dfacts.iter().map(|&l| lo_full[l]).collect();
+    let hi = dfacts.iter().map(|&l| hi_full[l]).collect();
+    (dfacts, lo, hi)
+}
+
+/// Start 0 of both γ searches.
+///
+/// `x_pre` itself is useless as a start: γ(H, H) = 0 is a global
+/// *minimum* of the smooth surface sin²γ, so its gradient vanishes there
+/// and neither a penalty nor the ceiling objective exerts any pull. The
+/// start instead nudges the D-FACTS reactances with alternating signs
+/// (uniform scaling would stay inside Col(H) and keep γ = 0; sign mixing
+/// is what rotates the column space). Starts > 0 draw random interior
+/// points.
+fn nudged_start(x_pre: &[f64], dfacts: &[usize], lo: &[f64], hi: &[f64], eta_max: f64) -> Vec<f64> {
+    dfacts
+        .iter()
+        .enumerate()
+        .map(|(k, &l)| {
+            let dir = if k % 2 == 0 { 1.0 } else { -1.0 };
+            (x_pre[l] * (1.0 + dir * 0.5 * eta_max)).clamp(lo[k], hi[k])
+        })
+        .collect()
+}
+
+/// `∂ sin²γ / ∂x_l` for every D-FACTS branch `l = dfacts[k]` at `x`, read
+/// off `state` through the branch's sparse `∂H/∂x_l` stamps.
+fn sin_sq_gradient(
+    net: &Network,
+    x: &[f64],
+    dfacts: &[usize],
+    state: &SinSqState,
+) -> Result<Vec<f64>, GridError> {
+    dfacts
+        .iter()
+        .map(|&l| Ok(state.gradient_entry(&net.measurement_matrix_derivative(x, l)?)))
+        .collect()
+}
+
 /// Maximizes `γ(H(x_pre), H(x))` over the D-FACTS box, ignoring cost.
 ///
 /// Returns the maximizing reactance vector and the achieved angle — the
@@ -114,11 +158,18 @@ pub fn max_achievable_gamma(
 /// already hold the basis. The basis is a pure function of `H(x_pre)`,
 /// so the result is bit-identical to the self-contained variant.
 ///
+/// The search is multistart projected L-BFGS on `−sin²γ` with the same
+/// differentiable state, stamps and start-0 nudge as the problem-(4)
+/// search, budgeted by `cfg.n_starts` × `cfg.max_evals_per_start`. The
+/// reported angle is the exact [`spa::GammaBasis::gamma_to`] at the
+/// returned point, never the optimizer's objective value.
+///
 /// # Errors
 ///
 /// [`MtdError::InvalidConfig`] if `cfg.eta_max` lies outside `(0, 1)`
 /// (the reactance box would be inverted or admit non-positive
-/// reactances); otherwise propagates model failures.
+/// reactances); otherwise propagates model failures — including the
+/// eigensolver's, when no evaluation of the search succeeded.
 pub fn max_achievable_gamma_with(
     net: &Network,
     x_pre: &[f64],
@@ -131,35 +182,51 @@ pub fn max_achievable_gamma_with(
             value: cfg.eta_max,
         });
     }
-    let dfacts = net.dfacts_branches();
-    let (lo_full, hi_full) = net.reactance_bounds(cfg.eta_max);
-    let lo: Vec<f64> = dfacts.iter().map(|&l| lo_full[l]).collect();
-    let hi: Vec<f64> = dfacts.iter().map(|&l| hi_full[l]).collect();
+    let (dfacts, lo, hi) = dfacts_box(net, cfg.eta_max);
     let x_nominal = net.nominal_reactances();
-    let x0: Vec<f64> = dfacts.iter().map(|&l| x_pre[l]).collect();
+    let x0 = nudged_start(x_pre, &dfacts, &lo, &hi, cfg.eta_max);
 
-    let objective = |cand: &[f64]| {
-        let x = assemble(&x_nominal, &dfacts, cand);
-        match net
-            .measurement_matrix(&x)
-            .map_err(MtdError::from)
-            .and_then(|h| gamma_basis.gamma_to(&h))
-        {
-            Ok(g) => -g,
-            Err(_) => f64::INFINITY,
+    let (x_nom, dfacts_ref) = (&x_nominal, &dfacts);
+    let objective_for = |_start: usize| {
+        move |cand: &[f64], grad: Option<&mut [f64]>| -> f64 {
+            let x = assemble(x_nom, dfacts_ref, cand);
+            let state = match net
+                .measurement_matrix(&x)
+                .map_err(MtdError::from)
+                .and_then(|h| gamma_basis.sin_sq_to(&h))
+            {
+                Ok(st) => st,
+                Err(_) => return f64::INFINITY,
+            };
+            if let Some(g) = grad {
+                match sin_sq_gradient(net, &x, dfacts_ref, &state) {
+                    Ok(ds) => {
+                        for (gk, d) in g.iter_mut().zip(ds) {
+                            *gk = -d;
+                        }
+                    }
+                    Err(_) => return f64::INFINITY,
+                }
+            }
+            -state.value()
         }
     };
-    let result = multistart(
-        objective,
+    let result = multistart_lbfgs_threads(
+        objective_for,
         &x0,
         &lo,
         &hi,
         cfg.n_starts.max(1),
         cfg.seed,
-        &cfg.nm_options(),
+        &cfg.lbfgs_options(),
+        gridmtd_opf::parallel::available_threads(),
     );
+    // Re-derive the angle exactly at the returned point. When every
+    // evaluation of the search failed, this surfaces the persistent
+    // failure as its typed error rather than reporting a ceiling.
     let x = assemble(&x_nominal, &dfacts, &result.x);
-    Ok((x, -result.f))
+    let gamma = gamma_basis.gamma_to(&net.measurement_matrix(&x)?)?;
+    Ok((x, gamma))
 }
 
 /// Solves the SPA-constrained OPF of problem (4):
@@ -172,14 +239,14 @@ pub fn max_achievable_gamma_with(
 /// ```
 ///
 /// The inner dispatch problem is an exact LP; the outer nonconvex search
-/// over `x'` uses multistart Nelder–Mead with an adaptive exterior
+/// over `x'` is multistart projected L-BFGS with an adaptive exterior
 /// penalty on the angle constraint.
 ///
 /// # Errors
 ///
-/// * [`MtdError::ThresholdUnreachable`] if no perturbation within the
-///   D-FACTS limits attains `γ_th` (use [`max_achievable_gamma`] to find
-///   the ceiling).
+/// * [`MtdError::ThresholdUnreachable`] if the penalty rounds find no
+///   perturbation within the D-FACTS limits that attains `γ_th`; its
+///   `achieved` field is [`max_achievable_gamma`] on the same inputs.
 /// * [`MtdError::Infeasible`] if the OPF is infeasible for every
 ///   candidate.
 pub fn select_mtd(
@@ -293,24 +360,18 @@ pub(crate) fn select_mtd_seeded(
         });
     }
     let search = SearchSetup::build(net, x_pre, cfg, baseline);
-    match cfg.selection_method {
-        SelectionMethod::Gradient => {
-            if let Some(sel) = run_gradient(&search, gamma_basis, gamma_th)? {
-                return Ok(sel);
-            }
-            // The gradient rounds never met the threshold (e.g. every
-            // descent path stalled at a stationary shoulder of sin²γ).
-            // The derivative-free search explores more aggressively, so
-            // give it the final word before declaring the threshold
-            // unreachable.
-            run_nelder_mead(&search, gamma_basis, gamma_th)
-        }
-        SelectionMethod::NelderMead => run_nelder_mead(&search, gamma_basis, gamma_th),
+    if let Some(sel) = run_gradient(&search, gamma_basis, gamma_th)? {
+        return Ok(sel);
     }
+    let (_, ceiling) = max_achievable_gamma_with(net, x_pre, gamma_basis, cfg)?;
+    Err(MtdError::ThresholdUnreachable {
+        requested: gamma_th,
+        achieved: ceiling,
+    })
 }
 
-/// Shared setup for both selection strategies: the D-FACTS box, the
-/// nominal assembly template and the unperturbed cost scale.
+/// Setup of the problem-(4) search: the D-FACTS box, the nominal
+/// assembly template and the unperturbed cost scale.
 struct SearchSetup<'a> {
     net: &'a Network,
     x_pre: &'a [f64],
@@ -338,10 +399,7 @@ impl<'a> SearchSetup<'a> {
         cfg: &'a MtdConfig,
         baseline: &BaselineState,
     ) -> SearchSetup<'a> {
-        let dfacts = net.dfacts_branches();
-        let (lo_full, hi_full) = net.reactance_bounds(cfg.eta_max);
-        let lo: Vec<f64> = dfacts.iter().map(|&l| lo_full[l]).collect();
-        let hi: Vec<f64> = dfacts.iter().map(|&l| hi_full[l]).collect();
+        let (dfacts, lo, hi) = dfacts_box(net, cfg.eta_max);
         SearchSetup {
             net,
             x_pre,
@@ -386,7 +444,7 @@ impl<'a> SearchSetup<'a> {
     }
 }
 
-/// The gradient strategy: multistart projected L-BFGS on the penalized
+/// The problem-(4) search: multistart projected L-BFGS on the penalized
 /// objective, with the penalty expressed in `sin²γ` (the analytically
 /// differentiable form of the angle).
 ///
@@ -394,8 +452,7 @@ impl<'a> SearchSetup<'a> {
 /// generalized eigensolve; the gradient adds one dual recovery on the
 /// already-factored LP basis and O(1) stamp work per D-FACTS branch —
 /// line-search trials skip both. Returns `Ok(None)` when no penalty
-/// round produced a candidate passing the exact-γ audit, so the caller
-/// can fall back to the derivative-free search.
+/// round produced a candidate passing the exact-γ audit.
 fn run_gradient(
     search: &SearchSetup<'_>,
     gamma_basis: &spa::GammaBasis,
@@ -416,24 +473,15 @@ fn run_gradient(
     let net = *net;
     let s_th = gamma_th.sin().powi(2);
     let mut penalty_weight = 1_000.0 * base_cost.max(1.0);
+    // Tie-breaking regularizer: when the cost surface is flat (no
+    // congestion), prefer the *least* perturbation that meets the
+    // threshold. This keeps the achieved angle tight against γ_th —
+    // matching how the paper reports its sweeps. The reported OPF cost
+    // is evaluated at the selected point without any penalty terms, so
+    // the economics stay exact.
     let proximity_weight = 0.5 * base_cost.max(1.0);
 
-    // `x_pre` itself is useless as a warm start here: γ(H, H) = 0 is a
-    // global *minimum* of the smooth surface sin²γ, so its gradient
-    // vanishes there and the penalty exerts no pull at all — descent
-    // would simply polish the cost and return with γ ≈ 0. Start 0
-    // instead nudges the D-FACTS reactances with alternating signs
-    // (uniform scaling would stay inside Col(H) and keep γ = 0; sign
-    // mixing is what rotates the column space). Starts > 0 draw random
-    // interior points exactly like the Nelder–Mead multistart.
-    let x0: Vec<f64> = dfacts
-        .iter()
-        .enumerate()
-        .map(|(k, &l)| {
-            let dir = if k % 2 == 0 { 1.0 } else { -1.0 };
-            (x_pre[l] * (1.0 + dir * 0.5 * cfg.eta_max)).clamp(lo[k], hi[k])
-        })
-        .collect();
+    let x0 = nudged_start(x_pre, dfacts, lo, hi, cfg.eta_max);
 
     let threads = gridmtd_opf::parallel::available_threads();
     for round in 0..4 {
@@ -467,12 +515,11 @@ fn run_gradient(
                 if let Some(g) = grad {
                     let dpen_ds =
                         -2.0 * penalty_weight * deficit + 2.0 * proximity_weight * overshoot;
+                    let Ok(ds) = sin_sq_gradient(net, &x, dfacts, &state) else {
+                        return f64::INFINITY;
+                    };
                     for (k, &l) in dfacts.iter().enumerate() {
-                        let ds = match net.measurement_matrix_derivative(&x, l) {
-                            Ok(stamps) => state.gradient_entry(&stamps),
-                            Err(_) => return f64::INFINITY,
-                        };
-                        g[k] = cost_grad[l] + dpen_ds * ds;
+                        g[k] = cost_grad[l] + dpen_ds * ds[k];
                     }
                 }
                 cost + penalty_weight * deficit * deficit + proximity_weight * overshoot * overshoot
@@ -488,117 +535,17 @@ fn run_gradient(
             &cfg.lbfgs_options(),
             threads,
         );
-        // Every start diverged or every evaluation failed (an OPF or
-        // eigensolve error maps to +∞ in the objective). That is a
-        // statement about *this strategy's* trajectory, not about the
-        // problem: report "no candidate" so the caller's Nelder–Mead
-        // fallback gets its chance before any error is declared.
-        if !result.f.is_finite() {
-            return Ok(None);
-        }
-        if let Some(sel) = search.audit(gamma_basis, gamma_th, &result.x)? {
-            return Ok(Some(sel));
+        // A non-finite result means every start's first evaluation
+        // failed (an OPF or eigensolve error maps to +∞): there is no
+        // candidate to audit, but the next round may still find one.
+        if result.f.is_finite() {
+            if let Some(sel) = search.audit(gamma_basis, gamma_th, &result.x)? {
+                return Ok(Some(sel));
+            }
         }
         penalty_weight *= 25.0;
     }
     Ok(None)
-}
-
-/// The derivative-free strategy: multistart Nelder–Mead on the same
-/// penalized objective expressed in γ directly.
-fn run_nelder_mead(
-    search: &SearchSetup<'_>,
-    gamma_basis: &spa::GammaBasis,
-    gamma_th: f64,
-) -> Result<MtdSelection, MtdError> {
-    let SearchSetup {
-        net,
-        x_pre,
-        cfg,
-        opf_proto,
-        dfacts,
-        lo,
-        hi,
-        x_nominal,
-        opf_opts,
-        base_cost,
-    } = search;
-    let net = *net;
-    let x0: Vec<f64> = dfacts.iter().map(|&l| x_pre[l]).collect();
-
-    const INFEASIBLE_COST: f64 = 1e15;
-    let mut penalty_weight = 1_000.0 * base_cost.max(1.0);
-    // Tie-breaking regularizer: when the cost surface is flat (no
-    // congestion), prefer the *least* perturbation that meets the
-    // threshold. This keeps the achieved angle tight against γ_th —
-    // matching how the paper reports its sweeps. The reported OPF cost
-    // is evaluated at the selected point without any penalty terms, so
-    // the economics stay exact.
-    let proximity_weight = 0.5 * base_cost.max(1.0);
-
-    for round in 0..4 {
-        // Each start builds its own objective around a private
-        // [`OpfContext`], so the hundreds of DC-OPFs along one
-        // Nelder–Mead trajectory warm-start from the previous basis —
-        // and the per-start state keeps parallel and serial multistart
-        // executions bit-identical. The objectives capture shared data
-        // by reference (`&` bindings below) and only own their context.
-        let (x_nominal, dfacts) = (x_nominal, dfacts);
-        let objective_for = |_start: usize| {
-            let mut ctx = opf_proto.clone();
-            move |cand: &[f64]| {
-                let x = assemble(x_nominal, dfacts, cand);
-                let cost = match solve_opf_with(net, &x, opf_opts, &mut ctx) {
-                    Ok(s) => s.cost,
-                    Err(_) => return INFEASIBLE_COST,
-                };
-                // The conservative fast estimate keeps the penalty honest
-                // (never reports more angle than really achieved); the
-                // accepted point is re-audited with the exact γ below.
-                let g = match net
-                    .measurement_matrix(&x)
-                    .map_err(MtdError::from)
-                    .and_then(|h| gamma_basis.gamma_to_approx(&h))
-                {
-                    Ok(g) => g,
-                    Err(_) => return INFEASIBLE_COST,
-                };
-                let deficit = (gamma_th - g).max(0.0);
-                let overshoot = (g - gamma_th).max(0.0);
-                cost + penalty_weight * deficit * deficit + proximity_weight * overshoot * overshoot
-            }
-        };
-        // Calibrated simplex size for the reactance box: large enough to
-        // move γ off the warm start's 0, small enough not to leap far
-        // past small thresholds.
-        let nm = gridmtd_opf::NelderMeadOptions {
-            initial_step: 0.12,
-            ..cfg.nm_options()
-        };
-        let result = multistart_stateful(
-            objective_for,
-            &x0,
-            lo,
-            hi,
-            cfg.n_starts.max(1),
-            crate::seedstream::domain(cfg.seed, round),
-            &nm,
-        );
-        if result.f >= INFEASIBLE_COST {
-            return Err(MtdError::Infeasible);
-        }
-        if let Some(sel) = search.audit(gamma_basis, gamma_th, &result.x)? {
-            return Ok(sel);
-        }
-        penalty_weight *= 25.0;
-    }
-
-    // Threshold appears unreachable; report the ceiling.
-    let (_, ceiling) = max_achievable_gamma_with(net, x_pre, gamma_basis, cfg)?;
-    Err(MtdError::ThresholdUnreachable {
-        requested: gamma_th,
-        achieved: ceiling,
-    })
 }
 
 /// The paper's pre-perturbation baseline: problem (1) optimized over both
@@ -608,6 +555,15 @@ fn run_nelder_mead(
 /// With linear costs and light congestion the objective is flat in `x`,
 /// so the search warm-starts from `x_start` and stays there unless
 /// reactance adjustments genuinely reduce cost.
+///
+/// Unlike problem (4), this search is a single-start derivative-free
+/// Nelder–Mead. The LP cost is piecewise linear in `x`, and its kinks
+/// stall a gradient method: over the 25 hours of the IEEE 14-bus
+/// `nyiso_winter_weekday` day (each hour started from the previous
+/// hour's point, 200 evaluations), single-start projected L-BFGS on the
+/// LP-dual cost gradient ended above Nelder–Mead on 11 hours, by up to
+/// 16.8 $/h. A baseline that is not the optimum can cost more than the
+/// MTD selection it is compared with.
 ///
 /// # Errors
 ///
@@ -628,10 +584,7 @@ pub(crate) fn baseline_opf_impl(
     cfg: &MtdConfig,
     pf_proto: &PfContext,
 ) -> Result<(Vec<f64>, OpfSolution), MtdError> {
-    let dfacts = net.dfacts_branches();
-    let (lo_full, hi_full) = net.reactance_bounds(cfg.eta_max);
-    let lo: Vec<f64> = dfacts.iter().map(|&l| lo_full[l]).collect();
-    let hi: Vec<f64> = dfacts.iter().map(|&l| hi_full[l]).collect();
+    let (dfacts, lo, hi) = dfacts_box(net, cfg.eta_max);
     let x_nominal = net.nominal_reactances();
     let x0: Vec<f64> = dfacts.iter().map(|&l| x_start[l]).collect();
     let opf_opts = cfg.opf_options();
@@ -825,6 +778,7 @@ mod tests {
         let cfg = MtdConfig::fast_test();
         let x0 = net.nominal_reactances();
         let err = select_mtd(&net, &x0, 1.5, &cfg).unwrap_err();
+        let (_, ceiling) = max_achievable_gamma(&net, &x0, &cfg).unwrap();
         match err {
             MtdError::ThresholdUnreachable {
                 requested,
@@ -832,6 +786,7 @@ mod tests {
             } => {
                 assert_eq!(requested, 1.5);
                 assert!(achieved < 1.5);
+                assert_eq!(achieved.to_bits(), ceiling.to_bits());
             }
             other => panic!("expected ThresholdUnreachable, got {other:?}"),
         }
@@ -901,17 +856,5 @@ mod tests {
                 other => panic!("expected InvalidConfig, got {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn nelder_mead_method_is_still_selectable() {
-        let net = cases::case14();
-        let cfg = MtdConfig {
-            selection_method: crate::SelectionMethod::NelderMead,
-            ..MtdConfig::fast_test()
-        };
-        let x0 = net.nominal_reactances();
-        let sel = select_mtd(&net, &x0, 0.15, &cfg).unwrap();
-        assert!(sel.gamma >= 0.15 - 1e-3, "gamma {}", sel.gamma);
     }
 }

@@ -107,20 +107,6 @@ impl GammaBasis {
     pub fn sin_sq_to(&self, h_post: &Matrix) -> Result<diff::SinSqState, MtdError> {
         Ok(diff::sin_sq_largest_angle(&self.basis, h_post)?)
     }
-
-    /// Conservative γ estimate by power iteration, used only by the
-    /// Nelder–Mead inner loop: never exceeds [`GammaBasis::gamma_to`]
-    /// and is typically within 1e-9 of it. Penalties computed from this
-    /// estimate therefore err on the side of *over*-satisfying the
-    /// threshold — the final audit in `select_mtd` always re-checks with
-    /// the exact angle.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape mismatches and numerical failures.
-    pub fn gamma_to_approx(&self, h_post: &Matrix) -> Result<f64, MtdError> {
-        Ok(self.basis.largest_angle_to_approx(h_post)?)
-    }
 }
 
 /// The operational subspace angle `γ(H, H') ∈ [0, π/2]` — the largest

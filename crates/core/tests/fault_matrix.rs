@@ -16,7 +16,7 @@
 //! test's reference.
 
 use gridmtd_core::faults::{registry, FaultPlan, Trigger};
-use gridmtd_core::{MtdConfig, MtdError, MtdSession, SelectionMethod};
+use gridmtd_core::{MtdConfig, MtdError, MtdSession};
 use gridmtd_linalg::sparse::{SparseLu, SparseMatrix};
 use gridmtd_linalg::LinalgError;
 use gridmtd_opf::lp::{LpProblem, LpSolution, LpSolver, Relation};
@@ -28,13 +28,6 @@ fn tiny_cfg() -> MtdConfig {
         n_starts: 1,
         max_evals_per_start: 40,
         ..MtdConfig::default()
-    }
-}
-
-fn gradient_cfg() -> MtdConfig {
-    MtdConfig {
-        selection_method: SelectionMethod::Gradient,
-        ..tiny_cfg()
     }
 }
 
@@ -223,7 +216,7 @@ fn eigen_nonconvergence_fault_degrades_to_typed_error_never_panics() {
     let net = cases::case14();
     let reference = unfaulted(|| {
         MtdSession::builder(net.clone())
-            .config(gradient_cfg())
+            .config(tiny_cfg())
             .build()
             .unwrap()
             .select(0.05)
@@ -231,50 +224,49 @@ fn eigen_nonconvergence_fault_degrades_to_typed_error_never_panics() {
     });
 
     // Always: every principal-angle eigensolve reports
-    // NonConvergence. The gradient path sees an infinite objective and
-    // hands over to Nelder–Mead, whose evaluations fail the same way —
-    // the select must end in a typed error or a genuine selection,
-    // never a panic.
+    // NonConvergence. Every objective evaluation of the gradient
+    // rounds is infinite, and the γ ceiling behind the unreachable
+    // diagnosis fails the same way — so the eigensolver's own typed
+    // error is what the select returns.
     {
         let active = FaultPlan::new(15)
             .fail("linalg.eigen.ql_nonconvergence", Trigger::Always)
             .activate();
         let session = MtdSession::builder(net.clone())
-            .config(gradient_cfg())
+            .config(tiny_cfg())
             .build()
             .unwrap();
         let outcome = session.select(0.05);
         assert!(active.fired("linalg.eigen.ql_nonconvergence") > 0);
-        match outcome {
-            Ok(sel) => assert!(sel.gamma >= 0.05 - 1e-3),
-            // Any *typed* MtdError is within contract — the search may
-            // bottom out as unreachable/infeasible or surface the
-            // eigensolver's NonConvergence directly. A panic is not.
-            Err(e) => assert!(!e.to_string().is_empty()),
-        }
+        assert!(
+            matches!(
+                outcome,
+                Err(MtdError::Numerical(LinalgError::NonConvergence { .. }))
+            ),
+            "expected the eigensolver's NonConvergence, got {outcome:?}"
+        );
     }
 
-    // Once: the first eigensolve of the run fails. With a single
-    // gradient start that can cost the whole trajectory, so the select
-    // may legitimately end in `ThresholdUnreachable` — but it must end
-    // *typed*, and once the fault is spent a fresh session reproduces
-    // the reference bit for bit under the still-active (exhausted)
-    // plan.
+    // Once: the first eigensolve of the run fails. With a single start
+    // that costs the whole first penalty round, and the next round still
+    // produces a real selection. Once the fault is spent a fresh session
+    // reproduces the reference bit for bit under the still-active
+    // (exhausted) plan.
     {
         let active = FaultPlan::new(16)
             .fail("linalg.eigen.ql_nonconvergence", Trigger::Once)
             .activate();
         let session = MtdSession::builder(net.clone())
-            .config(gradient_cfg())
+            .config(tiny_cfg())
             .build()
             .unwrap();
-        match session.select(0.05) {
-            Ok(sel) => assert!(sel.gamma >= 0.05 - 1e-3),
-            Err(e) => assert!(!e.to_string().is_empty()),
-        }
+        let sel = session
+            .select(0.05)
+            .expect("a lost first round must not end the selection");
+        assert!(sel.gamma >= 0.05 - 1e-3);
         assert_eq!(active.fired("linalg.eigen.ql_nonconvergence"), 1);
         let recovered = MtdSession::builder(net.clone())
-            .config(gradient_cfg())
+            .config(tiny_cfg())
             .build()
             .unwrap()
             .select(0.05)
@@ -327,18 +319,50 @@ fn eigen_nonconvergence_on_evaluate_is_typed_and_recovers() {
 }
 
 #[test]
+fn eigen_nonconvergence_on_the_ceiling_is_typed_and_never_cached() {
+    let net = cases::case14();
+    let reference = unfaulted(|| {
+        let session = MtdSession::builder(net.clone())
+            .config(tiny_cfg())
+            .build()
+            .unwrap();
+        session.max_gamma().unwrap().clone()
+    });
+
+    let session = MtdSession::builder(net).config(tiny_cfg()).build().unwrap();
+    {
+        let active = FaultPlan::new(20)
+            .fail("linalg.eigen.ql_nonconvergence", Trigger::Always)
+            .activate();
+        // Every evaluation of the ceiling search fails: the ceiling is
+        // the eigensolver's typed error, not a number.
+        let outcome = session.max_gamma();
+        assert!(active.fired("linalg.eigen.ql_nonconvergence") > 0);
+        assert!(
+            matches!(
+                outcome,
+                Err(MtdError::Numerical(LinalgError::NonConvergence { .. }))
+            ),
+            "expected the eigensolver's NonConvergence, got {outcome:?}"
+        );
+    }
+    // The failure was not cached: once the fault is dropped, the same
+    // session computes the unfaulted ceiling bit for bit.
+    let (x, gamma) = unfaulted(|| session.max_gamma().unwrap().clone());
+    assert_eq!(gamma.to_bits(), reference.1.to_bits());
+    assert_eq!(x, reference.0);
+}
+
+#[test]
 fn lbfgs_line_search_fault_keeps_iterate_and_still_selects() {
     let net = cases::case14();
     let active = FaultPlan::new(17)
         .fail("opf.lbfgs.line_search", Trigger::Always)
         .activate();
-    let session = MtdSession::builder(net)
-        .config(gradient_cfg())
-        .build()
-        .unwrap();
+    let session = MtdSession::builder(net).config(tiny_cfg()).build().unwrap();
     // Every Armijo backtrack is cut short: the optimizer keeps its
-    // current iterate, the gradient stage returns whatever it reached,
-    // and the Nelder–Mead fallback guarantees a real selection.
+    // current iterate (start 0's nudge already rotates Col(H) well past
+    // γ_th here), and the exact-γ audit accepts it as a real selection.
     let sel = session
         .select(0.05)
         .expect("line-search exhaustion must never abort selection");

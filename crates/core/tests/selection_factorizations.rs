@@ -7,7 +7,7 @@
 //! counters are process-global; concurrently running tests would
 //! inflate the delta (same pattern as `timeline_rebuilds.rs`).
 
-use gridmtd_core::{MtdConfig, MtdSession, SelectionMethod};
+use gridmtd_core::{MtdConfig, MtdSession};
 use gridmtd_powergrid::{cases, stats};
 
 #[test]
@@ -16,7 +16,6 @@ fn warm_gradient_select_does_no_new_symbolic_analysis() {
         n_attacks: 20,
         n_starts: 2,
         max_evals_per_start: 60,
-        selection_method: SelectionMethod::Gradient,
         ..MtdConfig::default()
     };
     let session = MtdSession::builder(cases::case14())

@@ -77,7 +77,7 @@ fn hoisted_paths_do_not_rebuild_fixed_matrices() {
     // Timeline: the per-hour fixed-reactance builds are bounded. Per
     // hour the loop itself builds h_stale, h_now and the audited
     // H(x_post) of the chosen selection — everything else (the
-    // Nelder–Mead objective evaluations, which genuinely vary x) is
+    // optimizer's objective evaluations, which genuinely vary x) is
     // charged to the candidate runs, measured here as the per-candidate
     // hoisted cost from above.
     let trace = LoadTrace::new(vec![400.0, 450.0]);

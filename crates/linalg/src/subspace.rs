@@ -105,63 +105,6 @@ impl OrthonormalBasis {
     pub fn largest_angle_to(&self, b: &Matrix) -> Result<f64, LinalgError> {
         Ok(self.extreme_angles_to(b)?.1)
     }
-
-    /// Fast deterministic estimate of the largest principal angle,
-    /// for penalty/objective evaluation in optimization inner loops.
-    ///
-    /// Uses the sine characterization: the singular values of
-    /// `(I − Q₁Q₁ᵀ)Q₂` are the sines of the principal angles, and the
-    /// largest one is extracted by power iteration on the small Gram
-    /// matrix — avoiding the eigensolve entirely. The Rayleigh-quotient
-    /// estimate converges from below, so the returned angle **never
-    /// exceeds** the exact [`OrthonormalBasis::largest_angle_to`]; after
-    /// convergence (relative change `< 1e-13`, at most 200 sweeps) the
-    /// gap is far below any tolerance used by the optimizers. The
-    /// iteration count is value-driven but deterministic: identical
-    /// inputs give identical bits.
-    ///
-    /// # Errors
-    ///
-    /// See [`OrthonormalBasis::angles_to`].
-    pub fn largest_angle_to_approx(&self, b: &Matrix) -> Result<f64, LinalgError> {
-        if self.q.rows() != b.rows() {
-            return Err(LinalgError::ShapeMismatch {
-                op: "principal_angles",
-                lhs: self.q.shape(),
-                rhs: b.shape(),
-            });
-        }
-        let q2 = qr::orthonormal_basis(b)?;
-        // M = Q₂ − Q₁(Q₁ᵀQ₂): columns of Q₂ minus their projection.
-        let proj = self.q.matmul(&self.q.transpose().matmul(&q2)?)?;
-        let m = &q2 - &proj;
-        // G = MᵀM is k×k symmetric PSD; its largest eigenvalue is
-        // sin²(γ_max).
-        let g = m.gram();
-        let k = g.rows();
-        // Deterministic start vector: uniform direction (never exactly
-        // orthogonal to the dominant eigenvector in float arithmetic for
-        // the matrices seen here; a zero G short-circuits to γ = 0).
-        let mut v = vec![1.0 / (k as f64).sqrt(); k];
-        let mut lambda = 0.0_f64;
-        for _ in 0..200 {
-            let w = g.matvec(&v)?;
-            let norm = w.iter().map(|x| x * x).sum::<f64>().sqrt();
-            if norm <= 1e-300 {
-                return Ok(0.0); // G ≈ 0: subspaces coincide
-            }
-            let next: f64 = v.iter().zip(w.iter()).map(|(a, b)| a * b).sum();
-            for (vi, wi) in v.iter_mut().zip(w.iter()) {
-                *vi = wi / norm;
-            }
-            if (next - lambda).abs() <= 1e-13 * next.abs() {
-                lambda = next;
-                break;
-            }
-            lambda = next;
-        }
-        Ok(lambda.max(0.0).sqrt().clamp(0.0, 1.0).asin())
-    }
 }
 
 /// The smallest principal angle `γ(a, b) ∈ [0, π/2]` (Definition V.1).
@@ -320,33 +263,6 @@ mod tests {
                 "{outcome:?}"
             );
         }
-    }
-
-    #[test]
-    fn approx_largest_angle_tracks_exact_from_below() {
-        let a = Matrix::from_rows(&[&[1.0, 0.3], &[0.2, 1.0], &[0.5, -0.4], &[0.0, 0.8]]).unwrap();
-        let basis = OrthonormalBasis::new(&a).unwrap();
-        for t in [0.0_f64, 0.05, 0.4, 1.1, 1.5] {
-            let b = Matrix::from_rows(&[
-                &[t.cos(), 0.3],
-                &[0.2, 1.0],
-                &[0.5 + t.sin(), -0.4],
-                &[t.sin(), 0.8],
-            ])
-            .unwrap();
-            let exact = basis.largest_angle_to(&b).unwrap();
-            let approx = basis.largest_angle_to_approx(&b).unwrap();
-            assert!(
-                approx <= exact + 1e-10,
-                "estimate must not exceed exact: {approx} vs {exact}"
-            );
-            assert!(
-                (exact - approx).abs() < 1e-7,
-                "estimate should be tight: {approx} vs {exact}"
-            );
-        }
-        // Identical subspaces short-circuit to zero.
-        assert!(basis.largest_angle_to_approx(&a.scale(3.0)).unwrap() < 1e-7);
     }
 
     #[test]

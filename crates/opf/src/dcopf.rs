@@ -17,7 +17,8 @@
 //!
 //! Optimization **over reactances** (the `x` degrees of freedom of
 //! problem (1), and the SPA-constrained problem (4)) is nonconvex and is
-//! handled by [`crate::nlp`] with this LP as the inner solve.
+//! handled by [`crate::nlp`] (problem (1)) and [`crate::lbfgs`]
+//! (problem (4)) with this LP as the inner solve.
 
 use std::error::Error;
 use std::fmt;
@@ -107,7 +108,7 @@ pub struct OpfSolution {
 /// a power-flow context.
 ///
 /// The SPA-constrained selection (problem (4)) evaluates hundreds of
-/// DC-OPFs whose reactances drift along one Nelder–Mead trajectory while
+/// DC-OPFs whose reactances drift along one optimizer trajectory while
 /// the LP's *structure* (variables, constraints, bound pattern) stays
 /// fixed. Reusing one `OpfContext` across those solves lets each LP
 /// warm-start from the previous optimal basis — typically skipping
@@ -518,7 +519,7 @@ mod tests {
     #[test]
     fn warm_context_matches_cold_solves_along_a_trajectory() {
         // The in-loop usage pattern: one context, reactances drifting
-        // gradually the way a Nelder–Mead trajectory moves them.
+        // gradually the way an optimizer trajectory moves them.
         for net in [cases::case14(), cases::case30()] {
             let opts = OpfOptions::default();
             let mut x = net.nominal_reactances();

@@ -1,14 +1,14 @@
 //! Gradient-based box-constrained minimization: projected L-BFGS with
 //! Armijo backtracking and multistart.
 //!
-//! The Nelder–Mead machinery in [`crate::nlp`] treats the selection
-//! objective as a black box and pays dozens of evaluations per digit of
-//! progress. When the caller can supply analytic gradients — as the
-//! γ-constrained reactance selection now can, via the measurement-matrix
-//! stamps and LP duals — a quasi-Newton method converges in a handful
-//! of iterations instead. This module provides the machinery: a two-loop
-//! L-BFGS recursion, projection onto box bounds, and the same
-//! deterministic multistart contract as `nlp` (per-start RNG streams,
+//! A derivative-free search such as [`crate::nlp`]'s Nelder–Mead treats
+//! the objective as a black box and pays dozens of evaluations per digit
+//! of progress. When the caller can supply analytic gradients — as the
+//! γ-constrained reactance selection and the γ-ceiling search can, via
+//! the measurement-matrix stamps and LP duals — a quasi-Newton method
+//! converges in a handful of iterations instead. This module provides
+//! the machinery: a two-loop L-BFGS recursion, projection onto box
+//! bounds, and a deterministic multistart (per-start RNG streams,
 //! bit-identical results for any worker count).
 //!
 //! The objective callback receives an optional gradient slice: line
@@ -128,8 +128,8 @@ fn two_loop(pairs: &[Pair], g: &[f64]) -> Vec<f64> {
 /// must also fill the slice with the gradient. Line-search trials pass
 /// `None`, so implementations can skip derivative assembly for points
 /// that are about to be discarded. Every call counts against
-/// `opts.max_evals`, making the budget comparable with the Nelder–Mead
-/// `max_evals` it replaces.
+/// `opts.max_evals`, the same unit as
+/// [`crate::nlp::NelderMeadOptions::max_evals`].
 ///
 /// Dimensions where `lower == upper` are held fixed (their projected
 /// gradient is identically zero, so no step ever moves them).
@@ -278,12 +278,11 @@ pub fn lbfgs_box<F: FnMut(&[f64], Option<&mut [f64]>) -> f64>(
 /// an OPF context whose LP solver warm-starts along the descent
 /// trajectory).
 ///
-/// The start-point contract matches [`crate::nlp::multistart_stateful_threads`]:
-/// start 0 is the caller's `x0`, start `s > 0` draws from its own RNG
-/// stream seeded `seed ⊕ s`, so the result is a pure function of the
-/// inputs — bit-identical for any worker count including serial, with
-/// ties between starts keeping the lowest start index. The returned
-/// `evals` accumulates over all starts.
+/// Start 0 is the caller's `x0`; start `s > 0` draws a uniform interior
+/// point from its own RNG stream seeded `seed ⊕ s`, so the result is a
+/// pure function of the inputs — bit-identical for any worker count
+/// including serial, with ties between starts keeping the lowest start
+/// index. The returned `evals` accumulates over all starts.
 ///
 /// # Panics
 ///
@@ -312,11 +311,12 @@ where
             if s == 0 {
                 x0.to_vec()
             } else {
-                // Same per-start stream derivation as `nlp::multistart`:
-                // opf sits below core so the seedstream mixer is out of
-                // reach, and a collision across starts costs only search
-                // diversity, never correctness.
-                // gridmtd-lint: allow(raw-seed-mix) -- mirrors the golden-pinned nlp multistart streams; collisions cost diversity, not correctness
+                // The per-start streams are golden-pinned (the scenario
+                // artifacts are byte-for-byte), and opf sits below core so
+                // the seedstream mixer is out of reach. A collision across
+                // starts costs only search diversity, never correctness:
+                // every start minimizes the same objective.
+                // gridmtd-lint: allow(raw-seed-mix) -- golden-pinned per-start streams; collisions cost diversity, not correctness
                 let mut rng = StdRng::seed_from_u64(seed ^ s as u64);
                 (0..x0.len())
                     .map(|i| {
@@ -379,7 +379,7 @@ mod tests {
         assert!((r.x[1] + 2.0).abs() < 1e-6);
         assert!((r.x[2] - 0.5).abs() < 1e-6);
         assert!(r.f < 1e-10);
-        // A quadratic should fall well inside the Nelder–Mead budget.
+        // A quadratic should converge in a handful of iterations.
         assert!(r.evals < 60, "evals = {}", r.evals);
     }
 

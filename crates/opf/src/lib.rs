@@ -4,11 +4,13 @@
 //! * [`dcopf`] — the DC optimal power flow of problem (1) of
 //!   Lakshminarayana & Yau (DSN 2018), with piecewise-linear treatment of
 //!   quadratic generator costs.
-//! * [`nlp`] — box-constrained Nelder–Mead and multistart, the
-//!   fmincon/MultiStart analogue used for reactance optimization
-//!   (problem (4)) by the `gridmtd-core` crate. Multistart fans its
-//!   independent starts across scoped threads with per-start RNG
-//!   streams, so parallel results are bit-identical to serial.
+//! * [`lbfgs`] — projected L-BFGS with multistart, the
+//!   fmincon/MultiStart analogue the `gridmtd-core` crate uses for the
+//!   reactance searches of problem (4) and the γ ceiling. Multistart
+//!   fans its independent starts across scoped threads with per-start
+//!   RNG streams, so parallel results are bit-identical to serial.
+//! * [`nlp`] — box-constrained Nelder–Mead, the local search behind the
+//!   problem-(1) baseline.
 //! * [`parallel`] — the scoped-thread fan-out helper shared by the
 //!   optimizer and the evaluation pipelines upstack.
 //!
@@ -43,7 +45,4 @@ pub use dcopf::{
 };
 pub use lbfgs::{lbfgs_box, multistart_lbfgs_threads, LbfgsOptions};
 pub use lp::LpSolver;
-pub use nlp::{
-    multistart, multistart_stateful, multistart_stateful_threads, multistart_with_threads,
-    nelder_mead, MinimizeResult, NelderMeadOptions,
-};
+pub use nlp::{nelder_mead, MinimizeResult, NelderMeadOptions};

@@ -13,7 +13,7 @@
 //! # Warm starts
 //!
 //! The selection optimizer (problem (4)) solves hundreds of structurally
-//! identical LPs whose coefficients drift slowly along one Nelder–Mead
+//! identical LPs whose coefficients drift slowly along one optimizer
 //! trajectory. [`LpSolver`] exploits this: it retains the optimal basis
 //! of the previous solve and, when the next problem has the same shape,
 //! re-factorizes that basis against the new data instead of running

@@ -1,16 +1,11 @@
-//! Derivative-free nonlinear minimization: box-constrained Nelder–Mead
-//! with multistart.
+//! Derivative-free nonlinear minimization: box-constrained Nelder–Mead.
 //!
-//! The SPA-constrained reactance selection (problem (4) of the paper) is
-//! nonconvex; the authors solve it with MATLAB's `fmincon` under the
-//! `MultiStart` wrapper. This module provides the equivalent machinery:
-//! a robust Nelder–Mead simplex search projected onto box bounds, and a
-//! multistart driver over random interior starting points. Inequality
-//! constraints are handled by exterior penalty in the caller's objective
-//! (see `gridmtd-core::selection`).
-
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+//! The problem-(1) baseline of `gridmtd-core::selection` optimizes the
+//! OPF cost over the D-FACTS reactances. That cost is piecewise linear
+//! in the reactances, so its kinks stall gradient methods; this module
+//! provides the local simplex search it uses instead, projected onto box
+//! bounds. The gradient-driven searches (problem (4) and the γ ceiling)
+//! use [`crate::lbfgs`].
 
 /// Options for a single Nelder–Mead run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -24,8 +19,8 @@ pub struct NelderMeadOptions {
     /// Must be small relative to the basin structure of the objective:
     /// Nelder–Mead's reflection step doubles the simplex diameter, so a
     /// simplex spanning a sizeable fraction of the box can tunnel across
-    /// objective barriers into a neighbouring basin. [`multistart`]
-    /// relies on each run staying in the basin it started in.
+    /// objective barriers into a neighbouring basin. A warm-started
+    /// local search relies on staying in the basin it started in.
     pub initial_step: f64,
 }
 
@@ -206,177 +201,6 @@ pub fn nelder_mead<F: FnMut(&[f64]) -> f64>(
     }
 }
 
-/// Multistart Nelder–Mead: `n_starts` runs from the nominal point plus
-/// random interior points, returning the best result (the analogue of
-/// fmincon + MultiStart in the paper's Section VII-A).
-///
-/// The independent starts fan out across scoped worker threads (see
-/// [`crate::parallel`]). Each start `s` draws its point from its own RNG
-/// stream seeded with `seed ⊕ s`, so the result is a pure function of
-/// `(f, x0, bounds, n_starts, seed, opts)` — **bit-identical** for any
-/// worker count, including serial, and independent of the order starts
-/// happen to finish in. Ties between starts keep the lowest start index,
-/// matching the serial scan.
-///
-/// For objectives that carry per-trajectory mutable state (warm-started
-/// OPF solves), use [`multistart_stateful`].
-///
-/// # Panics
-///
-/// Panics if `n_starts == 0` or the bound slices mismatch.
-pub fn multistart<F: Fn(&[f64]) -> f64 + Sync>(
-    f: F,
-    x0: &[f64],
-    lower: &[f64],
-    upper: &[f64],
-    n_starts: usize,
-    seed: u64,
-    opts: &NelderMeadOptions,
-) -> MinimizeResult {
-    multistart_with_threads(
-        f,
-        x0,
-        lower,
-        upper,
-        n_starts,
-        seed,
-        opts,
-        crate::parallel::available_threads(),
-    )
-}
-
-/// [`multistart`] with an explicit worker count (`threads <= 1` is the
-/// serial reference execution; any other count returns identical bits).
-#[allow(clippy::too_many_arguments)]
-pub fn multistart_with_threads<F: Fn(&[f64]) -> f64 + Sync>(
-    f: F,
-    x0: &[f64],
-    lower: &[f64],
-    upper: &[f64],
-    n_starts: usize,
-    seed: u64,
-    opts: &NelderMeadOptions,
-    threads: usize,
-) -> MinimizeResult {
-    let f = &f;
-    multistart_stateful_threads(
-        |_start| move |x: &[f64]| f(x),
-        x0,
-        lower,
-        upper,
-        n_starts,
-        seed,
-        opts,
-        threads,
-    )
-}
-
-/// Multistart over *stateful* objectives: `build(s)` constructs the
-/// objective for start `s`, and that objective may carry mutable state
-/// across its own evaluations (e.g. an OPF context whose LP solver
-/// warm-starts along the Nelder–Mead trajectory).
-///
-/// Because every start gets a freshly built objective, the per-start
-/// evaluation sequences — and therefore the result — are identical
-/// whether starts run serially or on worker threads.
-///
-/// # Panics
-///
-/// Panics if `n_starts == 0` or the bound slices mismatch.
-pub fn multistart_stateful<O, B>(
-    build: B,
-    x0: &[f64],
-    lower: &[f64],
-    upper: &[f64],
-    n_starts: usize,
-    seed: u64,
-    opts: &NelderMeadOptions,
-) -> MinimizeResult
-where
-    B: Fn(usize) -> O + Sync,
-    O: FnMut(&[f64]) -> f64,
-{
-    multistart_stateful_threads(
-        build,
-        x0,
-        lower,
-        upper,
-        n_starts,
-        seed,
-        opts,
-        crate::parallel::available_threads(),
-    )
-}
-
-/// [`multistart_stateful`] with an explicit worker count.
-#[allow(clippy::too_many_arguments)]
-pub fn multistart_stateful_threads<O, B>(
-    build: B,
-    x0: &[f64],
-    lower: &[f64],
-    upper: &[f64],
-    n_starts: usize,
-    seed: u64,
-    opts: &NelderMeadOptions,
-    threads: usize,
-) -> MinimizeResult
-where
-    B: Fn(usize) -> O + Sync,
-    O: FnMut(&[f64]) -> f64,
-{
-    assert!(n_starts > 0, "need at least one start");
-    assert_eq!(lower.len(), x0.len(), "bounds length mismatch");
-    assert_eq!(upper.len(), x0.len(), "bounds length mismatch");
-
-    // Start points first: start 0 is the warm start, start s > 0 draws
-    // from its own stream seeded `seed ⊕ s`. Deriving the seed from the
-    // start *index* — not from a shared sequential stream — is what
-    // keeps serial and parallel runs (and any future start-count change
-    // for the shared prefix) in exact agreement.
-    let starts: Vec<Vec<f64>> = (0..n_starts)
-        .map(|s| {
-            if s == 0 {
-                x0.to_vec()
-            } else {
-                // The per-start streams are golden-pinned (the fig9 and
-                // tradeoff artifacts are byte-for-byte), and opf sits below
-                // core so the seedstream mixer is out of reach. A collision
-                // across starts costs only search diversity, never
-                // correctness: every start minimizes the same objective.
-                // gridmtd-lint: allow(raw-seed-mix) -- golden-pinned multistart streams; collisions cost diversity, not correctness
-                let mut rng = StdRng::seed_from_u64(seed ^ s as u64);
-                (0..x0.len())
-                    .map(|i| {
-                        if upper[i] > lower[i] {
-                            rng.gen_range(lower[i]..upper[i])
-                        } else {
-                            lower[i]
-                        }
-                    })
-                    .collect()
-            }
-        })
-        .collect();
-
-    let results = crate::parallel::par_map_threads(threads, &starts, |s, start| {
-        let mut objective = build(s);
-        nelder_mead(&mut objective, start, lower, upper, opts)
-    });
-
-    let total_evals: usize = results.iter().map(|r| r.evals).sum();
-    let mut best: Option<MinimizeResult> = None;
-    for r in results {
-        // Strict improvement keeps the earliest start on ties, exactly
-        // like the serial scan.
-        if best.as_ref().is_none_or(|b| r.f < b.f) {
-            best = Some(r);
-        }
-    }
-    let mut b = best.expect("at least one start ran");
-    b.evals = total_evals;
-    b
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -438,6 +262,50 @@ mod tests {
         assert!(r.f < 1e-6, "f = {}", r.f);
     }
 
+    /// Best of independent `nelder_mead` runs, start 0 at `x0` and start
+    /// `s > 0` uniform in the box from the stream seeded `seed ⊕ s`, fanned
+    /// out over `threads` workers with ties kept by the earliest start.
+    /// This is the multistart the derivative-free selection reference in
+    /// `gridmtd-core`'s tests builds on `nelder_mead`; the tests below pin
+    /// the properties of `nelder_mead` it relies on.
+    #[allow(clippy::too_many_arguments)]
+    fn best_of_starts<F: Fn(&[f64]) -> f64 + Sync>(
+        f: F,
+        x0: &[f64],
+        lower: &[f64],
+        upper: &[f64],
+        n_starts: usize,
+        seed: u64,
+        opts: &NelderMeadOptions,
+        threads: usize,
+    ) -> MinimizeResult {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let starts: Vec<Vec<f64>> = (0..n_starts)
+            .map(|s| {
+                if s == 0 {
+                    return x0.to_vec();
+                }
+                let mut rng = StdRng::seed_from_u64(seed ^ s as u64);
+                lower
+                    .iter()
+                    .zip(upper)
+                    .map(|(&lo, &hi)| rng.gen_range(lo..hi))
+                    .collect()
+            })
+            .collect();
+        let results = crate::parallel::par_map_threads(threads, &starts, |_, start| {
+            nelder_mead(&f, start, lower, upper, opts)
+        });
+        let total_evals: usize = results.iter().map(|r| r.evals).sum();
+        let mut best = results
+            .into_iter()
+            .reduce(|b, r| if r.f < b.f { r } else { b })
+            .expect("at least one start");
+        best.evals = total_evals;
+        best
+    }
+
     #[test]
     fn multistart_escapes_local_minimum() {
         // Double well: local min near x=-1 (f=0.1), global near x=2 (f=0).
@@ -446,11 +314,11 @@ mod tests {
             let b = 3.0 * (x[0] - 2.0).powi(2);
             a.min(b)
         };
-        // Single start from the basin of the local min gets stuck.
+        // A single run from the basin of the local min stays there.
         let local = nelder_mead(f, &[-1.4], &[-3.0], &[3.0], &NelderMeadOptions::default());
         assert!((local.x[0] + 1.0).abs() < 0.05);
-        // Multistart finds the global one.
-        let global = multistart(
+        // The best of several starts finds the global one.
+        let global = best_of_starts(
             f,
             &[-1.4],
             &[-3.0],
@@ -458,55 +326,21 @@ mod tests {
             12,
             7,
             &NelderMeadOptions::default(),
+            2,
         );
         assert!((global.x[0] - 2.0).abs() < 0.05, "{:?}", global.x);
         assert!(global.f < 1e-6);
     }
 
     #[test]
-    fn multistart_is_deterministic_per_seed() {
-        let f = |x: &[f64]| x[0].sin() * (3.0 * x[0]).cos() + 0.1 * x[0] * x[0];
-        let a = multistart(
-            f,
-            &[0.0],
-            &[-6.0],
-            &[6.0],
-            8,
-            42,
-            &NelderMeadOptions::default(),
-        );
-        let b = multistart(
-            f,
-            &[0.0],
-            &[-6.0],
-            &[6.0],
-            8,
-            42,
-            &NelderMeadOptions::default(),
-        );
-        assert_eq!(a.x, b.x);
-        assert_eq!(a.f, b.f);
-    }
-
-    #[test]
     fn multistart_parallel_is_bit_identical_to_serial() {
-        // The determinism contract: per-start seed streams make the
-        // worker count unobservable in the result.
+        // `nelder_mead` is a pure function of its inputs, so fanning the
+        // starts out over workers leaves every bit of the result unchanged.
         let f = |x: &[f64]| {
             (x[0] - 0.7).powi(2) * (x[1] + 1.1).cos() + (3.0 * x[0]).sin() + 0.05 * x[1] * x[1]
         };
-        let serial = multistart_with_threads(
-            f,
-            &[0.0, 0.0],
-            &[-4.0, -4.0],
-            &[4.0, 4.0],
-            9,
-            1234,
-            &NelderMeadOptions::default(),
-            1,
-        );
-        for threads in [2, 4, 16] {
-            let parallel = multistart_with_threads(
+        let run = |threads| {
+            best_of_starts(
                 f,
                 &[0.0, 0.0],
                 &[-4.0, -4.0],
@@ -515,7 +349,11 @@ mod tests {
                 1234,
                 &NelderMeadOptions::default(),
                 threads,
-            );
+            )
+        };
+        let serial = run(1);
+        for threads in [2, 4, 16] {
+            let parallel = run(threads);
             assert!(
                 serial
                     .x
@@ -532,40 +370,19 @@ mod tests {
     }
 
     #[test]
-    fn multistart_stateful_builds_one_objective_per_start() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let built = AtomicUsize::new(0);
-        let r = multistart_stateful(
-            |_s| {
-                built.fetch_add(1, Ordering::Relaxed);
-                let mut evals_here = 0usize; // per-start mutable state
-                move |x: &[f64]| {
-                    evals_here += 1;
-                    (x[0] - 1.5).powi(2) + evals_here as f64 * 0.0
-                }
-            },
-            &[0.0],
-            &[-3.0],
-            &[3.0],
-            5,
-            11,
-            &NelderMeadOptions::default(),
-        );
-        assert_eq!(built.load(Ordering::Relaxed), 5);
-        assert!((r.x[0] - 1.5).abs() < 1e-4);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one start")]
     fn zero_starts_panics() {
-        multistart(
-            |x: &[f64]| x[0],
+        // The crate's one multistart driver rejects an empty start set
+        // up front rather than returning an unset result.
+        crate::lbfgs::multistart_lbfgs_threads(
+            |_s| |x: &[f64], _: Option<&mut [f64]>| x[0],
             &[0.0],
             &[0.0],
             &[1.0],
             0,
             0,
-            &NelderMeadOptions::default(),
+            &crate::lbfgs::LbfgsOptions::default(),
+            1,
         );
     }
 

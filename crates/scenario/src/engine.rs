@@ -564,10 +564,6 @@ fn document(spec: &ScenarioSpec, net: &Network, results: Json) -> String {
             "max_evals_per_start",
             Json::Int(c.max_evals_per_start as i64),
         ),
-        (
-            "selection_method",
-            Json::Str(c.selection_method.as_str().to_string()),
-        ),
         ("pwl_segments", Json::Int(c.opf.pwl_segments as i64)),
     ]);
     Json::obj(vec![

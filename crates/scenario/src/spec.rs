@@ -20,7 +20,7 @@
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
-use gridmtd_core::{MtdConfig, SelectionMethod};
+use gridmtd_core::MtdConfig;
 
 use crate::error::ScenarioError;
 use crate::toml::{self, Entry, Table, Value};
@@ -421,14 +421,6 @@ fn decode_config(section: &Section<'_>) -> Result<MtdConfig, ScenarioError> {
         }
         cfg.max_evals_per_start = v;
     }
-    if let Some(v) = section.opt_str("selection_method")? {
-        cfg.selection_method = SelectionMethod::parse(&v).ok_or_else(|| {
-            section.err(
-                "selection_method",
-                "expected \"gradient\" or \"nelder-mead\"",
-            )
-        })?;
-    }
     if let Some(v) = section.opt_usize("pwl_segments")? {
         if v == 0 {
             return Err(section.err("pwl_segments", "need at least one segment"));
@@ -634,11 +626,6 @@ impl ScenarioSpec {
         let _ = writeln!(out, "seed = {}", c.seed);
         let _ = writeln!(out, "n_starts = {}", c.n_starts);
         let _ = writeln!(out, "max_evals_per_start = {}", c.max_evals_per_start);
-        let _ = writeln!(
-            out,
-            "selection_method = \"{}\"",
-            c.selection_method.as_str()
-        );
         let _ = writeln!(out, "pwl_segments = {}", c.opf.pwl_segments);
 
         let _ = writeln!(out, "\n[sweep]");

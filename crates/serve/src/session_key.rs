@@ -135,10 +135,6 @@ impl SessionSpec {
                         "max_evals_per_start",
                         Json::Int(int(cfg.max_evals_per_start)),
                     ),
-                    (
-                        "selection_method",
-                        Json::Str(cfg.selection_method.as_str().to_string()),
-                    ),
                     ("pwl_segments", Json::Int(int(cfg.opf.pwl_segments))),
                 ]),
             ),

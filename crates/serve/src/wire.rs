@@ -27,7 +27,7 @@
 use gridmtd_core::session::batch::{Request, Response};
 use gridmtd_core::{
     BaselineOutcome, HourOutcome, LearningOptions, LearningOutcome, MtdConfig, MtdError,
-    MtdEvaluation, MtdSelection, SelectionMethod, TimelineOptions,
+    MtdEvaluation, MtdSelection, TimelineOptions,
 };
 use gridmtd_scenario::json::Json;
 
@@ -506,12 +506,6 @@ pub fn config_from_overrides(overrides: &Json) -> Result<MtdConfig, WireError> {
             "max_evals_per_start" => {
                 cfg.max_evals_per_start = value.as_u64().ok_or_else(bad)? as usize;
             }
-            "selection_method" => {
-                cfg.selection_method = value
-                    .as_str()
-                    .and_then(SelectionMethod::parse)
-                    .ok_or_else(bad)?;
-            }
             #[allow(clippy::cast_possible_truncation)]
             "pwl_segments" => cfg.opf.pwl_segments = value.as_u64().ok_or_else(bad)? as usize,
             other => {
@@ -582,6 +576,17 @@ mod tests {
         assert_eq!(cfg.n_attacks, 40);
         let bad = Json::parse(r#"{"n_atacks":40}"#).unwrap();
         assert!(config_from_overrides(&bad).is_err());
+    }
+
+    #[test]
+    fn removed_selection_method_key_is_an_unknown_field() {
+        let frame = r#"{"id":1,"method":"select","session":{"case":"case4","config":{"selection_method":"gradient"}},"params":{"gamma_threshold":0.05}}"#;
+        let err = parse_frame(frame).unwrap_err();
+        assert_eq!(err.code, INVALID_PARAMS);
+        assert_eq!(
+            err.message,
+            "session.config: unknown field 'selection_method'"
+        );
     }
 
     #[test]

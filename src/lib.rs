@@ -9,7 +9,7 @@
 //! | [`linalg`] | `gridmtd-linalg` | dense LA: QR, SVD, principal angles |
 //! | [`stats`] | `gridmtd-stats` | χ²/noncentral-χ², Gaussian sampling |
 //! | [`powergrid`] | `gridmtd-powergrid` | DC grid model, IEEE cases |
-//! | [`opf`] | `gridmtd-opf` | LP simplex, DC-OPF, Nelder–Mead |
+//! | [`opf`] | `gridmtd-opf` | LP simplex, DC-OPF, projected L-BFGS, Nelder–Mead |
 //! | [`estimation`] | `gridmtd-estimation` | WLS SE + χ² BDD |
 //! | [`attack`] | `gridmtd-attack` | stealthy FDI attacks |
 //! | [`mtd`] | `gridmtd-core` | SPA metric, η'(δ), problem (4), tradeoff |

@@ -130,6 +130,30 @@ fn malformed_spec_fails_with_a_useful_message_and_nonzero_exit() {
 }
 
 #[test]
+fn removed_selection_method_key_fails_validation() {
+    let out = temp_out("selection_method");
+    fs::create_dir_all(&out).unwrap();
+    let spec = out.join("spec.toml");
+    fs::write(
+        &spec,
+        "[scenario]\nname = \"old\"\nkind = \"tradeoff\"\n\n[grid]\ncase = \"case4\"\n\
+         \n[config]\nselection_method = \"gradient\"\n\
+         \n[sweep]\ngamma_thresholds = [0.1]\ndeltas = [0.5]\n",
+    )
+    .unwrap();
+    let output = gridmtd()
+        .arg("validate")
+        .arg(&spec)
+        .output()
+        .expect("binary runs");
+    assert!(!output.status.success());
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("config.selection_method"), "{stderr}");
+    assert!(stderr.contains("unknown key"), "{stderr}");
+    let _ = fs::remove_dir_all(&out);
+}
+
+#[test]
 fn usage_errors_exit_with_code_two() {
     let output = gridmtd().output().expect("binary runs");
     assert_eq!(output.status.code(), Some(2));
