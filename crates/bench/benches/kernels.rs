@@ -1,6 +1,8 @@
 //! Criterion benches for the numerical kernels underlying every
-//! experiment: subspace angles (Björck–Golub), DC power flow, WLS + BDD
-//! residual evaluation and closed-form attack scoring.
+//! experiment: subspace angles (the principal-angle pencil against an
+//! orthonormal basis of `Col(H_pre)`: the basis QR, the values-only
+//! angle spectrum and the differentiable `sin²γ` state), DC power flow,
+//! WLS + BDD residual evaluation and closed-form attack scoring.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -24,6 +26,28 @@ fn bench_gamma(c: &mut Criterion) {
         });
     }
     group.finish();
+}
+
+/// The two halves of the γ kernel on case118 (`H` is 488 × 117): the
+/// per-`x_pre` basis QR, and the per-candidate `sin²γ` state (one
+/// pencil eigensolve plus one inverse-iteration eigenvector) that every
+/// gradient evaluation of the selection pays.
+fn bench_gamma_kernel(c: &mut Criterion) {
+    let net = cases::case118();
+    let x0 = net.nominal_reactances();
+    let h0 = net.measurement_matrix(&x0).unwrap();
+    let mut x1 = x0.clone();
+    for (k, l) in net.dfacts_branches().into_iter().enumerate() {
+        x1[l] *= if k % 2 == 0 { 1.2 } else { 0.85 };
+    }
+    let h1 = net.measurement_matrix(&x1).unwrap();
+    let basis = spa::GammaBasis::new(&h0).unwrap();
+    c.bench_function("gamma_basis/case118", |b| {
+        b.iter(|| spa::GammaBasis::new(black_box(&h0)).unwrap())
+    });
+    c.bench_function("gamma_state/case118", |b| {
+        b.iter(|| basis.sin_sq_to(black_box(&h1)).unwrap())
+    });
 }
 
 fn bench_dcpf(c: &mut Criterion) {
@@ -146,6 +170,6 @@ fn bench_detection_probability(c: &mut Criterion) {
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_gamma, bench_dcpf, bench_sparse_refactor, bench_measurement_matrix, bench_bdd, bench_detection_probability
+    targets = bench_gamma, bench_gamma_kernel, bench_dcpf, bench_sparse_refactor, bench_measurement_matrix, bench_bdd, bench_detection_probability
 }
 criterion_main!(kernels);

@@ -20,15 +20,23 @@
 //!
 //! solved here by a dense symmetric eigensolve: with the Cholesky factor
 //! `B = LLᵀ`, the pencil is congruent to the PSD matrix
-//! `M = L⁻¹(B − A)L⁻ᵀ`, whose leading eigenpair comes from the
-//! tridiagonalize-then-QL solver ([`crate::SymmetricEigen`]) and maps
-//! back through `c = L⁻ᵀw`. Fully
-//! deterministic — no iteration start or sweep budget — and immune to
-//! the failure mode of a power iteration on this pencil: structured
-//! start vectors can sit almost entirely inside a small-`s` eigenspace
-//! (e.g. the uniform coefficient vector, for which `Hc` has support only
-//! on slack-adjacent rows), where a residual test happily accepts a
-//! non-dominant eigenpair. Differentiating the Rayleigh quotient at the
+//! `M = L⁻¹(B − A)L⁻ᵀ` (two row-streamed forward solves), whose
+//! eigenvalues come from the tridiagonalize-then-QL solver
+//! ([`crate::SymmetricEigen`]). Each query pays only for what it reads:
+//! the angle spectrum behind [`crate::subspace`] reads eigenvalues
+//! alone, and [`sin_sq_largest_angle`] adds one eigenvector `w` (inverse
+//! iteration on the tridiagonal plus one back-transform), mapped back
+//! through `c = L⁻ᵀw`. Every eigenvalue, and so every angle, is
+//! bit-identical to a solver that accumulates the full eigenvector
+//! matrix; the eigenvector agrees with that solver's to roundoff. Fully
+//! deterministic — the QL iteration has no start vector, and the
+//! inverse iteration is shifted by the converged top eigenvalue, so it
+//! cannot settle on another eigenpair — and immune to the failure mode
+//! of a power iteration on this pencil: structured start vectors can
+//! sit almost entirely inside a small-`s` eigenspace (e.g. the uniform
+//! coefficient vector, for which `Hc` has support only on slack-adjacent
+//! rows), where a residual test happily accepts a non-dominant
+//! eigenpair. Differentiating the Rayleigh quotient at the
 //! eigenvector `c` gives, for any direction `∂H` (write `d = ∂H·c`,
 //! `v = Hc`, `u = P₁Hc`):
 //!
@@ -93,20 +101,28 @@ impl SinSqState {
     }
 }
 
-/// Solves the lower-triangular system `L X = rhs` column by column
-/// (plain forward substitution; `L` comes from a Cholesky factor, so its
-/// diagonal is strictly positive).
+/// Solves the lower-triangular system `L X = rhs` (forward substitution;
+/// `L` comes from a Cholesky factor, so its diagonal is strictly
+/// positive), streaming whole rows: row `i` subtracts `l[i][p]·row p`
+/// for `p` ascending, then divides by `l[i][i]`. Each entry sees the
+/// same operations in the same order as a column-by-column solve, so
+/// the result is bit-identical to it — only the memory walk is
+/// contiguous.
 fn forward_solve_matrix(l: &Matrix, rhs: &Matrix) -> Matrix {
     let n = l.rows();
     let cols = rhs.cols();
     let mut x = rhs.clone();
-    for j in 0..cols {
-        for i in 0..n {
-            let mut acc = x[(i, j)];
-            for p in 0..i {
-                acc -= l[(i, p)] * x[(p, j)];
+    for i in 0..n {
+        let (done, rest) = x.as_mut_slice().split_at_mut(i * cols);
+        let row_i = &mut rest[..cols];
+        for (p, &lip) in l.row(i)[..i].iter().enumerate() {
+            for (xi, xp) in row_i.iter_mut().zip(&done[p * cols..(p + 1) * cols]) {
+                *xi -= lip * xp;
             }
-            x[(i, j)] = acc / l[(i, i)];
+        }
+        let lii = l[(i, i)];
+        for xi in row_i.iter_mut() {
+            *xi /= lii;
         }
     }
     x
@@ -137,14 +153,15 @@ struct Pencil {
     b: Matrix,
     /// Cholesky factor `L` of `B`.
     l: Matrix,
-    /// All eigenpairs of `M = L⁻¹(B − A)L⁻ᵀ`, eigenvalues non-increasing.
+    /// Eigenvalues of `M = L⁻¹(B − A)L⁻ᵀ` (non-increasing), and any
+    /// one eigenvector on request.
     eig: SymmetricEigen,
 }
 
 /// Assembles and solves the pencil of `q1` against `h`: `T = Q₁ᵀH`,
 /// `B`, `B − A`, the Cholesky factor of `B`, `M` and its eigensolve.
 /// Shared by [`sin_sq_largest_angle`] and [`sin_sq_spectrum`], so the
-/// gradient state and the exact angles read the same eigenpairs.
+/// gradient state and the exact angles read the same eigenvalues.
 fn solve_pencil(q1: &OrthonormalBasis, h: &Matrix) -> Result<Pencil, LinalgError> {
     let q = q1.q();
     if q.shape() != h.shape() {
@@ -180,8 +197,8 @@ fn solve_pencil(q1: &OrthonormalBasis, h: &Matrix) -> Result<Pencil, LinalgError
 /// leading eigenpair of the pencil, mapped back through `c = L⁻ᵀw`.
 ///
 /// Deterministic: one Cholesky factorization, one symmetric
-/// eigensolve, serial arithmetic — repeated calls on identical inputs
-/// are bit-identical.
+/// eigensolve and one eigenvector, serial arithmetic — repeated calls
+/// on identical inputs are bit-identical.
 ///
 /// # Errors
 ///
@@ -219,7 +236,7 @@ pub fn sin_sq_largest_angle(q1: &OrthonormalBasis, h: &Matrix) -> Result<SinSqSt
 /// `sin²θ` of every principal angle between `q1` and `Col(h)`, each
 /// clamped to `[0, 1]`, in non-increasing order (largest angle first):
 /// the full spectrum of the same pencil [`sin_sq_largest_angle`] reads
-/// its top eigenpair from.
+/// its top eigenpair from. Computes no eigenvector.
 ///
 /// # Errors
 ///

@@ -11,8 +11,9 @@
 //!   **principal angles between subspaces** ([`subspace::principal_angles`],
 //!   [`subspace::largest_principal_angle`] — the MTD metric γ), all read
 //!   off one generalized symmetric eigenproblem `(B − A)c = s·Bc` against
-//!   a cached orthonormal basis ([`diff`], [`SymmetricEigen`]), whose top
-//!   eigenpair also gives the analytic γ-gradient,
+//!   a cached orthonormal basis ([`diff`], [`SymmetricEigen`]). Angle
+//!   queries take its eigenvalues only (values-only QL); the analytic
+//!   γ-gradient adds the top eigenvector, by inverse iteration,
 //! * a singular value decomposition ([`Svd`], one-sided Jacobi) for rank
 //!   checks.
 //!

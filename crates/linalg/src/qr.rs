@@ -82,18 +82,8 @@ impl Qr {
             qr[(k, k)] = alpha;
 
             // Apply H to the trailing columns.
-            for j in (k + 1)..n {
-                let mut dot = qr[(k, j)];
-                for i in (k + 1)..m {
-                    dot += qr[(i, k)] * qr[(i, j)];
-                }
-                let t = tau[k] * dot;
-                qr[(k, j)] -= t;
-                for i in (k + 1)..m {
-                    let vik = qr[(i, k)];
-                    qr[(i, j)] -= t * vik;
-                }
-            }
+            let v: Vec<f64> = ((k + 1)..m).map(|i| qr[(i, k)]).collect();
+            apply_reflector(&mut qr, &v, k, k + 1, tau[k]);
         }
         Ok(Qr { qr, tau })
     }
@@ -127,18 +117,10 @@ impl Qr {
             if self.tau[k] == 0.0 {
                 continue;
             }
-            for j in 0..n {
-                let mut dot = q[(k, j)];
-                for i in (k + 1)..m {
-                    dot += self.qr[(i, k)] * q[(i, j)];
-                }
-                let t = self.tau[k] * dot;
-                q[(k, j)] -= t;
-                for i in (k + 1)..m {
-                    let vik = self.qr[(i, k)];
-                    q[(i, j)] -= t * vik;
-                }
-            }
+            // Columns j < k are still e_j, zero on rows k.., which the
+            // reflector leaves untouched.
+            let v: Vec<f64> = ((k + 1)..m).map(|i| self.qr[(i, k)]).collect();
+            apply_reflector(&mut q, &v, k, k, self.tau[k]);
         }
         q
     }
@@ -215,6 +197,31 @@ impl Qr {
         (0..n)
             .filter(|&i| self.qr[(i, i)].abs() > RANK_TOL * max_diag)
             .count()
+    }
+}
+
+/// Applies the reflector `I − τ v vᵀ` (with `v_k = 1` and `v_tail`
+/// holding `v_{k+1..m}`) to columns `first..` of `target`, streaming
+/// rows: the per-column dots `x_k + Σ_{i>k} v_i x_i` accumulate with `i`
+/// ascending, so each column sees the same operations in the same order
+/// as a column-by-column sweep and the result is bit-identical to it.
+fn apply_reflector(target: &mut Matrix, v_tail: &[f64], k: usize, first: usize, tau: f64) {
+    let mut t: Vec<f64> = target.row(k)[first..].to_vec();
+    for (r, &vi) in v_tail.iter().enumerate() {
+        for (dot, &x) in t.iter_mut().zip(&target.row(k + 1 + r)[first..]) {
+            *dot += vi * x;
+        }
+    }
+    for dot in &mut t {
+        *dot *= tau;
+    }
+    for (x, &tj) in target.row_mut(k)[first..].iter_mut().zip(&t) {
+        *x -= tj;
+    }
+    for (r, &vi) in v_tail.iter().enumerate() {
+        for (x, &tj) in target.row_mut(k + 1 + r)[first..].iter_mut().zip(&t) {
+            *x -= tj * vi;
+        }
     }
 }
 

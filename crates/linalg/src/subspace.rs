@@ -12,7 +12,8 @@
 //! eigenvalues of the pencil `(B − A) c = s B c` are the squared sines of
 //! the principal angles ([`crate::diff`] assembles and solves it). The
 //! second space is never orthonormalized, so one angle query costs one
-//! `k×k` Cholesky factorization and one symmetric eigensolve.
+//! `k×k` Cholesky factorization and one values-only symmetric
+//! eigensolve: no eigenvector is computed for an angle.
 //!
 //! Angles lie in `[0, π/2]`: `0` for a shared direction, `π/2` for a
 //! direction orthogonal to the other space.

@@ -44,7 +44,7 @@ fn perturbed(net: &Network, units: &[f64], scale: f64) -> Vec<f64> {
 /// `rel = 1e-4` balances the two error sources: truncation is
 /// `O(rel²)` relative, while the cancellation noise of the LP value
 /// (exact simplex, ~1e-10 absolute on a ~1e4 cost) and of the
-/// `sin²γ` power iteration (residual stop at 1e-11) is divided by
+/// `sin²γ` eigensolve (roundoff, ~1e-16 absolute) is divided by
 /// `2·rel·x_l`. A smaller step drowns near-zero gradients in noise.
 fn central_fd(x: &[f64], l: usize, rel: f64, mut f: impl FnMut(&[f64]) -> f64) -> f64 {
     let h = rel * x[l].abs();

@@ -182,6 +182,13 @@ fn int(v: usize) -> i64 {
     v as i64
 }
 
+/// Largest grid a `synthetic:<buses>:<seed>` session may name. The
+/// dense measurement matrix has `(2·branches + buses) × (buses − 1)`
+/// entries and the γ kernel is `O(buses³)`, so without a cap one frame
+/// could make a worker allocate without limit. The size is refused
+/// before any network is built.
+pub const MAX_SYNTHETIC_BUSES: usize = 1000;
+
 /// Maps a wire case name onto a network constructor.
 fn build_case(name: &str) -> Result<gridmtd_powergrid::Network, WireError> {
     if let Some(rest) = name.strip_prefix("synthetic:") {
@@ -192,6 +199,13 @@ fn build_case(name: &str) -> Result<gridmtd_powergrid::Network, WireError> {
             .filter(|&b| b >= 2);
         let seed = parts.next().and_then(|s| s.parse::<u64>().ok());
         return match (buses, seed) {
+            (Some(buses), Some(_)) if buses > MAX_SYNTHETIC_BUSES => Err(WireError::new(
+                INVALID_PARAMS,
+                format!(
+                    "session: synthetic case '{name}' has {buses} buses, above the limit of \
+                     {MAX_SYNTHETIC_BUSES}"
+                ),
+            )),
             (Some(buses), Some(seed)) => {
                 let config = cases::SyntheticConfig {
                     n_buses: buses,

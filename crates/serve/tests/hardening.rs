@@ -268,3 +268,39 @@ fn client_retry_surrenders_the_last_overloaded_answer_at_budget_end() {
     assert!(server.stats().shed > u64::from(opts.attempts));
     server.shutdown();
 }
+
+#[test]
+fn oversized_synthetic_cases_are_refused_before_any_network_is_built() {
+    use gridmtd_serve::session_key::MAX_SYNTHETIC_BUSES;
+    let mut server = Server::start(&ServeOptions::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    // usize::MAX buses would abort on allocation if anything tried to
+    // build the grid, so a typed answer proves the refusal comes first.
+    let too_big = format!("synthetic:{}:1", MAX_SYNTHETIC_BUSES + 1);
+    for (id, case) in [
+        (1, too_big.as_str()),
+        (2, "synthetic:18446744073709551615:1"),
+    ] {
+        let line = client
+            .call_raw(&select_frame(id, case, 1, 0.1, ""))
+            .unwrap();
+        assert_eq!(
+            error_code(&line),
+            Some(wire::INVALID_PARAMS),
+            "{case} must be refused with -32602, got: {line}"
+        );
+        assert!(line.contains("above the limit"), "{line}");
+    }
+    let stats = server.stats();
+    assert_eq!(stats.lru.misses, 0, "no session was built");
+    assert_eq!(stats.resident, 0);
+    server.shutdown();
+
+    // Sizes at the cap's scale still resolve to a session spec.
+    let spec = gridmtd_serve::SessionSpec::from_json(
+        &Json::parse(r#"{"case":"synthetic:300:1"}"#).unwrap(),
+    )
+    .unwrap();
+    assert_eq!(spec.case, "synthetic:300:1");
+    assert_eq!(spec.build().unwrap().network().n_buses(), 300);
+}
