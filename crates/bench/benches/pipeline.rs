@@ -3,10 +3,11 @@
 //! SPA-constrained selection step (problem (4)).
 //!
 //! `dc_opf/*` measures the **in-loop** workload — a persistent
-//! [`OpfContext`] whose LP warm-starts from the previous basis while the
-//! reactances drift, exactly how `select_mtd`'s L-BFGS trajectory
-//! consumes the solver. `dc_opf_cold/*` keeps the from-scratch reference
-//! visible.
+//! [`OpfContext`] that carries its working set of line limits and LP
+//! basis from one solve to the next while the reactances drift, exactly
+//! how `select_mtd`'s L-BFGS trajectory consumes the solver. `dc_opf_cold/*` keeps the from-scratch reference
+//! visible, and `dc_opf_grad/case118` adds the cost gradient (LP duals
+//! plus one adjoint solve) that every L-BFGS evaluation requests.
 //!
 //! `session_select_warm/case118` vs `select_mtd_with/case118` pins the
 //! session-layer contract: routing a selection through a warm
@@ -20,7 +21,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use gridmtd_core::{effectiveness, selection, spa, MtdConfig, MtdSession};
-use gridmtd_opf::{solve_opf, solve_opf_with, OpfContext, OpfOptions};
+use gridmtd_opf::{solve_opf, solve_opf_grad_with, solve_opf_with, OpfContext, OpfOptions};
 use gridmtd_powergrid::{cases, Network};
 
 /// A short cycle of gently drifting reactance vectors, mimicking one
@@ -68,6 +69,7 @@ fn bench_opf(c: &mut Criterion) {
         ("case30", cases::case30()),
         ("case57", cases::case57()),
         ("case118", cases::case118()),
+        ("case300", cases::case300()),
     ] {
         let x = net.nominal_reactances();
         group.bench_function(name, |b| {
@@ -75,6 +77,20 @@ fn bench_opf(c: &mut Criterion) {
         });
     }
     group.finish();
+
+    // The gradient solve of every L-BFGS evaluation in problem (4): LP
+    // duals plus the adjoint solve, on a persistent context.
+    let net = cases::case118();
+    let xs = drift_cycle(&net);
+    let mut ctx = OpfContext::new();
+    let mut i = 0usize;
+    c.bench_function("dc_opf_grad/case118", |b| {
+        b.iter(|| {
+            let x = &xs[i % xs.len()];
+            i += 1;
+            solve_opf_grad_with(black_box(&net), x, &opts, &mut ctx).unwrap()
+        })
+    });
 }
 
 fn bench_effectiveness(c: &mut Criterion) {

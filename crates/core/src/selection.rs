@@ -308,12 +308,13 @@ pub(crate) fn select_mtd_impl(
 ///
 /// Carries the unperturbed cost (the penalty scale of the selection
 /// objective) together with the post-solve [`OpfContext`] — the shared
-/// power-flow symbolic factorization *plus* the simplex basis the
-/// baseline solve certified. [`prepare_baseline`] performs exactly the
-/// arithmetic `select_mtd_impl` would, so a selection seeded with a
-/// cached baseline is bit-identical to one that recomputes it — the
-/// session can therefore hoist the one cold LP solve (hundreds of
-/// milliseconds at case118 size) out of every warm `select` call.
+/// power-flow symbolic factorization *plus* the working set of line
+/// limits and the simplex basis the baseline solve found.
+/// [`prepare_baseline`] performs exactly the arithmetic
+/// `select_mtd_impl` would, so a selection seeded with a cached baseline
+/// is bit-identical to one that recomputes it — the session can
+/// therefore hoist the one cold OPF solve out of every warm `select`
+/// call.
 #[derive(Debug, Clone)]
 pub(crate) struct BaselineState {
     ctx: OpfContext,
@@ -377,11 +378,11 @@ struct SearchSetup<'a> {
     x_pre: &'a [f64],
     cfg: &'a MtdConfig,
     /// OPF context prototype: carries the shared symbolic power-flow
-    /// factorization *and* the simplex basis certified by the baseline
-    /// solve at `x_pre`. Every optimizer start and every audit clones
-    /// it, so even their first LP solve prices a nearby basis instead of
-    /// rerunning the two-phase cold path — on case118 that basis is
-    /// ~500 rows and the cold path costs ~100× a warm one.
+    /// factorization, the working set of line limits and the simplex
+    /// basis the baseline solve found at `x_pre`. Every optimizer start
+    /// and every audit clones it, so even their first OPF starts from
+    /// the limits that bind near `x_pre` and a nearby basis instead of
+    /// rediscovering them round by round.
     opf_proto: OpfContext,
     dfacts: Vec<usize>,
     lo: Vec<f64>,
@@ -450,8 +451,9 @@ impl<'a> SearchSetup<'a> {
 ///
 /// Per evaluation the objective costs one warm DC-OPF plus one
 /// generalized eigensolve; the gradient adds one dual recovery on the
-/// already-factored LP basis and O(1) stamp work per D-FACTS branch —
-/// line-search trials skip both. Returns `Ok(None)` when no penalty
+/// already-factored LP basis, one adjoint solve against `B̃` when a line
+/// limit binds, and O(1) stamp work per D-FACTS branch —
+/// line-search trials skip all of these. Returns `Ok(None)` when no penalty
 /// round produced a candidate passing the exact-γ audit.
 fn run_gradient(
     search: &SearchSetup<'_>,

@@ -1,10 +1,11 @@
 //! Sparse LU factorization `P A = L U` (Gilbert–Peierls, left-looking,
 //! partial pivoting).
 //!
-//! The consumer is the warm-started simplex engine: an LP basis matrix
-//! for the DC-OPF has a handful of nonzeros per column, so factoring it
-//! densely costs `O(m³)` on mostly-zero arithmetic — the dominant cost
-//! of a warm `dc_opf` resolve at 118-bus scale. Gilbert–Peierls runs in
+//! Built for matrices like the simplex basis of a θ-form DC-OPF, with a
+//! handful of nonzeros per column, where a dense factorization spends
+//! `O(m³)` on mostly-zero arithmetic. (The DC-OPF now solves a
+//! shift-factor LP whose bases are a few dozen rows and factor densely.)
+//! Gilbert–Peierls runs in
 //! time proportional to the arithmetic actually performed (symbolic
 //! reachability per column via depth-first search, then a sparse
 //! triangular solve), with row pivoting for the same numerical safety as

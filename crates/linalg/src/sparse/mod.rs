@@ -16,14 +16,13 @@
 //!   computed **once per topology** and the numeric phase re-run per
 //!   perturbation ([`SparseCholesky::refactor`]), plus multi-RHS
 //!   triangular solves ([`SparseCholesky::solve_matrix`]);
-//! * [`SparseLu`] — Gilbert–Peierls LU with partial pivoting for the
-//!   unsymmetric simplex basis matrices of the DC-OPF warm path.
+//! * [`SparseLu`] — Gilbert–Peierls LU with partial pivoting for
+//!   unsymmetric sparse systems.
 //!
 //! Consumers keep the dense kernels below a size crossover (the dense
 //! path has no index overhead and is byte-stable with the original
-//! implementation); see `gridmtd_powergrid::dcpf`,
-//! `gridmtd_estimation::wls` and `gridmtd_opf::lp` for the selection
-//! policies.
+//! implementation); see `gridmtd_powergrid::dcpf` and
+//! `gridmtd_estimation::wls` for the selection policies.
 
 mod cholesky;
 mod csc;

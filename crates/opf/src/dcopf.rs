@@ -1,14 +1,34 @@
-//! DC optimal power flow (problem (1) of the paper) on top of the LP
-//! solver.
+//! DC optimal power flow (problem (1) of the paper) in shift-factor
+//! form, with the line limits added lazily.
 //!
-//! For a fixed reactance vector the DC-OPF is a linear program:
+//! For a fixed reactance vector the DC-OPF is a linear program. With the
+//! slack row and column of `B = A D Aᵀ` removed, the angles are
+//! `θ̃ = B̃⁻¹ p̃` for the reduced injections `p̃ = (C g − l)̃`, so each
+//! branch flow is an affine function of the dispatch alone:
 //!
 //! ```text
-//! min Σ Cᵢ(Gᵢ)                        (generation cost)
-//! s.t. g − l = B θ                    (nodal balance, B = A D Aᵀ)
-//!      −f_max ≤ D Aᵀ θ ≤ f_max        (flow limits)
-//!      g_min ≤ g ≤ g_max              (generator limits)
+//! min Σ Cᵢ(Gᵢ)                               (generation cost)
+//! s.t. Σ g = Σ l                             (system balance)
+//!      −f_max,k ≤ b_k w_kᵀ (C g − l)̃ ≤ f_max,k  (flow limits, k ∈ W)
+//!      g_min ≤ g ≤ g_max                     (generator limits)
+//! where B̃ w_k = e_from(k) − e_to(k)           (shift factors of branch k)
 //! ```
+//!
+//! The angles leave the LP: its columns are the dispatch (and the PWL
+//! segments below), its rows the PWL coupling rows, one system balance
+//! and one row per limit direction in the **working set** `W`.
+//!
+//! **Lazy limits.** At the operating points the MTD pipeline visits
+//! almost no limit binds, so `W` starts from what the previous solve
+//! needed (carried by an [`OpfContext`]) and grows on demand. Each round
+//! solves the LP over `W`, recovers θ and the flows with one solve
+//! through the factor of `B̃`, and adds every violated direction to `W`.
+//! When no limit is violated the relaxation's optimum is feasible for
+//! the full LP, hence optimal for it; an infeasible relaxation certifies
+//! an infeasible OPF. `W` only grows within a call, so the loop ends
+//! after at most `2·n_branches + 1` rounds. One factorization of
+//! `B̃(x)` per call serves the flow recovery, the shift-factor rows and
+//! the gradient's adjoint solve ([`solve_opf_grad_with`]).
 //!
 //! Linear generator costs go straight into the LP objective; quadratic
 //! costs (MATPOWER `case30`) are linearized into convex piecewise-linear
@@ -23,7 +43,8 @@
 use std::error::Error;
 use std::fmt;
 
-use gridmtd_powergrid::{dcpf, GenCost, GridError, Network};
+use gridmtd_powergrid::dcpf::{self, PfFactor};
+use gridmtd_powergrid::{GenCost, GridError, Network};
 
 use crate::lp::{LpError, LpProblem, LpSolver, Relation};
 
@@ -104,25 +125,28 @@ pub struct OpfSolution {
     pub cost: f64,
 }
 
-/// Reusable per-trajectory OPF state: the warm-startable LP engine plus
-/// a power-flow context.
+/// Reusable per-trajectory OPF state: the warm-startable LP engine, the
+/// working set of line limits and a power-flow context.
 ///
 /// The SPA-constrained selection (problem (4)) evaluates hundreds of
-/// DC-OPFs whose reactances drift along one optimizer trajectory while
-/// the LP's *structure* (variables, constraints, bound pattern) stays
-/// fixed. Reusing one `OpfContext` across those solves lets each LP
-/// warm-start from the previous optimal basis — typically skipping
-/// Phase 1 entirely — which is where the `select_mtd` speedup comes
-/// from. The embedded [`dcpf::PfContext`] additionally caches the
-/// sparse symbolic factorization of `B̃` for the flow-recovery solve at
-/// the end of every OPF. A context carries no problem data of its own:
-/// feeding it a different network or option set is always *correct*
-/// (the solvers fall back to cold starts on any mismatch), just not
-/// fast.
+/// DC-OPFs whose reactances drift along one optimizer trajectory. A
+/// context carries the working set `W` of the last solve into the next
+/// one, so a solve whose limits are already in `W` finishes in one
+/// round, and while `W` keeps its shape the LP warm-starts from the
+/// previous optimal basis. The embedded [`dcpf::PfContext`] caches the
+/// sparse symbolic factorization of `B̃` for the one numeric
+/// factorization each solve runs. `W` holds only limit rows of the full
+/// LP, so feeding a context a different network or option set is always
+/// *correct*, just not fast.
 #[derive(Debug, Clone, Default)]
 pub struct OpfContext {
     lp: LpSolver,
     pf: dcpf::PfContext,
+    /// The working set carried from the last solve; `None` before the
+    /// first one.
+    limits: Option<Vec<Limit>>,
+    warm_solves: u64,
+    cold_solves: u64,
 }
 
 impl OpfContext {
@@ -132,14 +156,14 @@ impl OpfContext {
     }
 
     /// Creates a context around an existing power-flow context (fresh,
-    /// cold LP state).
+    /// cold LP state and an empty working set).
     ///
     /// Passing a *primed* [`dcpf::PfContext`] (see
     /// [`dcpf::PfContext::prime`]) lets many short-lived OPF contexts —
     /// one per multistart run, say — share a single symbolic
-    /// factorization of the topology while keeping their simplex warm
-    /// chains fully independent, so results stay bit-identical to
-    /// all-fresh contexts.
+    /// factorization of the topology while keeping their warm state
+    /// fully independent, so results stay bit-identical to all-fresh
+    /// contexts.
     pub fn with_pf(pf: dcpf::PfContext) -> OpfContext {
         OpfContext {
             pf,
@@ -147,21 +171,23 @@ impl OpfContext {
         }
     }
 
-    /// Number of OPF solves that hit the warm-start path.
+    /// Number of OPF solves that finished in one round on the working
+    /// set carried from the previous solve.
     pub fn warm_solves(&self) -> u64 {
-        self.lp.warm_solves()
+        self.warm_solves
     }
 
-    /// Number of OPF solves that ran the cold two-phase path.
+    /// Number of OPF solves that started without a carried working set
+    /// or had to grow it.
     pub fn cold_solves(&self) -> u64 {
-        self.lp.cold_solves()
+        self.cold_solves
     }
 }
 
 /// Solves the DC-OPF for the given reactance vector from a cold start.
 ///
-/// Inside optimization loops prefer [`solve_opf_with`], which reuses the
-/// previous solve's simplex basis.
+/// Inside optimization loops prefer [`solve_opf_with`], which carries
+/// the working set and the LP basis from one solve to the next.
 ///
 /// # Errors
 ///
@@ -171,8 +197,8 @@ pub fn solve_opf(net: &Network, x: &[f64], options: &OpfOptions) -> Result<OpfSo
     solve_opf_with(net, x, options, &mut OpfContext::new())
 }
 
-/// Solves the DC-OPF, warm-starting the inner LP from the basis retained
-/// in `ctx` (see [`OpfContext`]).
+/// Solves the DC-OPF, starting from the working set and LP basis
+/// retained in `ctx` (see [`OpfContext`]).
 ///
 /// # Errors
 ///
@@ -184,42 +210,110 @@ pub fn solve_opf_with(
     options: &OpfOptions,
     ctx: &mut OpfContext,
 ) -> Result<OpfSolution, OpfError> {
-    let model = OpfLp::build(net, x, options)?;
-    let sol = ctx.lp.solve(&model.lp)?;
-    model.finish(net, x, &sol, ctx)
+    Ok(solve_lazy(net, x, options, ctx, false)?.0)
 }
 
-/// The assembled DC-OPF linear program plus the variable/row bookkeeping
-/// needed to read a solution (and its duals) back in network terms.
+/// Solves the DC-OPF and additionally returns `∂cost/∂x_l` for **every**
+/// branch, computed from the duals of the binding limit rows via the
+/// envelope theorem.
 ///
-/// Constraint rows are laid out as: one PWL coupling `Eq` row per
-/// quadratic-cost generator (generator order), then `n_buses` nodal
-/// balance `Eq` rows (bus order), then two flow rows per branch
-/// (`≤ +fmax` followed by `≥ −fmax`, branch order). Only the balance
-/// and flow rows depend on the reactances.
-struct OpfLp {
+/// A reactance enters the LP only through the limit rows in `W`, whose
+/// shift factors depend on `B̃(x)`. With `ν_k` the shadow price of
+/// branch `k`'s limit (the row dual, its sign folded in so that a
+/// binding forward or reverse limit both read as a price on `f_k`),
+/// `∂b_l/∂x_l = −base_mva/x_l²` and `Δθ_l = θ_from(l) − θ_to(l)` at the
+/// optimum:
+///
+/// ```text
+/// w = B̃⁻¹ Σ_k ν_k b_k (e_from(k) − e_to(k))                (one adjoint solve)
+/// ∂cost/∂x_l = ∂b_l/∂x_l · Δθ_l · (ν_l − (w_from(l) − w_to(l)))
+/// ```
+///
+/// With no binding limit every `ν_k` is zero and the gradient is
+/// exactly zero (no solve runs): the cost is flat in `x` there.
+///
+/// This is the derivative of the LP (PWL-surrogate) objective; for
+/// linear generator costs it is exactly the derivative of
+/// [`OpfSolution::cost`], for quadratic costs it differs by the chord
+/// vs. tangent slope within one PWL segment (small, and immaterial to
+/// the optimizer that consumes it). Like the optimal value function of
+/// any LP, it is piecewise smooth: at a basis change the returned value
+/// is the one-sided derivative priced by the final simplex basis.
+///
+/// # Errors
+///
+/// Same contract as [`solve_opf_with`].
+pub fn solve_opf_grad_with(
+    net: &Network,
+    x: &[f64],
+    options: &OpfOptions,
+    ctx: &mut OpfContext,
+) -> Result<(OpfSolution, Vec<f64>), OpfError> {
+    let (sol, grad) = solve_lazy(net, x, options, ctx, true)?;
+    Ok((sol, grad.unwrap_or_default()))
+}
+
+/// One direction of a branch flow limit: `sign · f_branch ≤ f_max`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Limit {
+    branch: usize,
+    /// `+1.0` for the forward limit, `−1.0` for the reverse one.
+    sign: f64,
+}
+
+/// A branch flow as an affine function of the dispatch:
+/// `f = Σ coeffs·g − load_flow` (generator indices; generators at the
+/// slack carry no shift factor and are left out).
+struct ShiftRow {
+    coeffs: Vec<(usize, f64)>,
+    load_flow: f64,
+}
+
+impl ShiftRow {
+    /// The shift-factor row of branch `l`: one solve `B̃ w = e_from − e_to`.
+    fn build(net: &Network, factor: &PfFactor<'_>, l: usize) -> Result<ShiftRow, GridError> {
+        let br = net.branch(l);
+        let mut e = vec![0.0; net.n_states()];
+        if let Some(i) = net.reduced_index(br.from) {
+            e[i] = 1.0;
+        }
+        if let Some(j) = net.reduced_index(br.to) {
+            e[j] = -1.0;
+        }
+        let w = factor.solve(&e)?;
+        let bl = factor.susceptances()[l];
+        let factor_at = |bus: usize| net.reduced_index(bus).map(|i| bl * w[i]);
+        let coeffs = net
+            .gens()
+            .iter()
+            .enumerate()
+            .filter_map(|(gi, g)| factor_at(g.bus).map(|c| (gi, c)))
+            .collect();
+        let load_flow = net
+            .buses()
+            .iter()
+            .enumerate()
+            .filter_map(|(i, bus)| factor_at(i).map(|c| c * bus.load_mw))
+            .sum();
+        Ok(ShiftRow { coeffs, load_flow })
+    }
+}
+
+/// The reactance-independent part of the LP: the dispatch columns (and
+/// PWL segments), the PWL coupling rows (one per quadratic-cost
+/// generator, generator order) and the system balance row. The limit
+/// rows of `W` follow, in working-set order.
+struct DispatchLp {
     lp: LpProblem,
     gen_vars: Vec<usize>,
-    theta_vars: Vec<usize>,
     cost_offset: f64,
-    /// Leading PWL coupling rows (= number of quadratic-cost gens).
-    n_pwl_rows: usize,
 }
 
-impl OpfLp {
-    fn build(net: &Network, x: &[f64], options: &OpfOptions) -> Result<OpfLp, OpfError> {
-        net.check_reactances(x)?;
-        let n = net.n_buses();
-        let slack = net.slack();
-        let b_full = net.b_matrix(x)?;
-        let suscept = net.susceptances(x)?;
-
+impl DispatchLp {
+    fn build(net: &Network, options: &OpfOptions) -> DispatchLp {
         let mut lp = LpProblem::new();
-
-        // Generator variables (and PWL segments for quadratic costs).
         let mut gen_vars = Vec::with_capacity(net.n_gens());
         let mut cost_offset = 0.0;
-        let mut n_pwl_rows = 0usize;
         for g in net.gens() {
             match g.cost {
                 GenCost::Linear { c } => {
@@ -239,75 +333,118 @@ impl OpfLp {
                         coeffs.push((s, -1.0));
                     }
                     lp.add_constraint(coeffs, Relation::Eq, g.pmin_mw);
-                    n_pwl_rows += 1;
                     cost_offset += g.cost.eval(g.pmin_mw);
                     gen_vars.push(gv);
                 }
             }
         }
-
-        // Angle variables for non-slack buses.
-        let mut theta_vars = vec![usize::MAX; n];
-        for (i, theta_var) in theta_vars.iter_mut().enumerate() {
-            if i != slack {
-                *theta_var = lp.add_var(f64::NEG_INFINITY, f64::INFINITY, 0.0);
-            }
-        }
-
-        // Nodal balance at every bus: Σ g@i − Σ_j B[i,j] θ_j = load_i.
-        for i in 0..n {
-            let mut coeffs: Vec<(usize, f64)> = Vec::new();
-            for (gi, g) in net.gens().iter().enumerate() {
-                if g.bus == i {
-                    coeffs.push((gen_vars[gi], 1.0));
-                }
-            }
-            for j in 0..n {
-                if j != slack && b_full[(i, j)] != 0.0 {
-                    coeffs.push((theta_vars[j], -b_full[(i, j)]));
-                }
-            }
-            lp.add_constraint(coeffs, Relation::Eq, net.bus(i).load_mw);
-        }
-
-        // Flow limits: −fmax ≤ b_l (θ_from − θ_to) ≤ fmax.
-        for (l, br) in net.branches().iter().enumerate() {
-            let mut coeffs: Vec<(usize, f64)> = Vec::new();
-            if br.from != slack {
-                coeffs.push((theta_vars[br.from], suscept[l]));
-            }
-            if br.to != slack {
-                coeffs.push((theta_vars[br.to], -suscept[l]));
-            }
-            lp.add_constraint(coeffs.clone(), Relation::Le, br.flow_limit_mw);
-            lp.add_constraint(coeffs, Relation::Ge, -br.flow_limit_mw);
-        }
-
-        Ok(OpfLp {
+        lp.add_constraint(
+            gen_vars.iter().map(|&v| (v, 1.0)).collect(),
+            Relation::Eq,
+            net.total_load(),
+        );
+        DispatchLp {
             lp,
             gen_vars,
-            theta_vars,
             cost_offset,
-            n_pwl_rows,
-        })
+        }
     }
 
-    /// Maps an LP solution back to an [`OpfSolution`] (flow recovery via
-    /// a DC power flow at the LP dispatch, exact cost model).
-    fn finish(
-        &self,
-        net: &Network,
-        x: &[f64],
-        sol: &crate::lp::LpSolution,
-        ctx: &mut OpfContext,
-    ) -> Result<OpfSolution, OpfError> {
-        let dispatch: Vec<f64> = self.gen_vars.iter().map(|&v| sol.x[v]).collect();
-        // Recover flows/angles from a DC power flow at the LP dispatch:
-        // this also serves as an internal consistency check of the LP
-        // model. The context's power-flow state reuses the cached
-        // symbolic factorization across the trajectory on the sparse
-        // path.
-        let pf = dcpf::solve_dispatch_with(net, x, &dispatch, &mut ctx.pf)?;
+    /// The LP over the working set: `sign·Σ coeffs·g ≤ f_max +
+    /// sign·load_flow` per limit.
+    fn with_limits(&self, net: &Network, limits: &[Limit], rows: &[ShiftRow]) -> LpProblem {
+        let mut lp = self.lp.clone();
+        for (lim, row) in limits.iter().zip(rows) {
+            let coeffs = row
+                .coeffs
+                .iter()
+                .map(|&(gi, c)| (self.gen_vars[gi], lim.sign * c))
+                .collect();
+            let fmax = net.branch(lim.branch).flow_limit_mw;
+            lp.add_constraint(coeffs, Relation::Le, fmax + lim.sign * row.load_flow);
+        }
+        lp
+    }
+}
+
+/// The lazy-limit loop behind every public solve (see the module docs);
+/// with `want_grad` it also returns the cost gradient of
+/// [`solve_opf_grad_with`].
+fn solve_lazy(
+    net: &Network,
+    x: &[f64],
+    options: &OpfOptions,
+    ctx: &mut OpfContext,
+    want_grad: bool,
+) -> Result<(OpfSolution, Option<Vec<f64>>), OpfError> {
+    net.check_reactances(x)?;
+    let model = DispatchLp::build(net, options);
+    let factor = ctx.pf.factor(net, x)?;
+    let carried = ctx.limits.is_some();
+    let mut limits = ctx.limits.take().unwrap_or_default();
+    limits.retain(|lim| lim.branch < net.n_branches());
+    let outcome = lazy_rounds(net, x, &model, &factor, &mut ctx.lp, &mut limits, want_grad);
+    // The working set stays valid whatever the outcome: every row in it
+    // is a row of the full LP.
+    ctx.limits = Some(limits);
+    let (sol, grad, rounds) = outcome?;
+    if carried && rounds == 1 {
+        ctx.warm_solves += 1;
+    } else {
+        ctx.cold_solves += 1;
+    }
+    Ok((sol, grad))
+}
+
+/// Runs LP rounds over the growing working set until no limit is
+/// violated; returns the solution, the optional gradient and the
+/// number of rounds.
+fn lazy_rounds(
+    net: &Network,
+    x: &[f64],
+    model: &DispatchLp,
+    factor: &PfFactor<'_>,
+    solver: &mut LpSolver,
+    limits: &mut Vec<Limit>,
+    want_grad: bool,
+) -> Result<(OpfSolution, Option<Vec<f64>>, usize), OpfError> {
+    let mut rows = limits
+        .iter()
+        .map(|lim| ShiftRow::build(net, factor, lim.branch))
+        .collect::<Result<Vec<_>, _>>()?;
+    let base_rows = model.lp.n_constraints();
+    let mut rounds = 0;
+    loop {
+        rounds += 1;
+        let lp = model.with_limits(net, limits, &rows);
+        let (sol, duals) = if want_grad {
+            solver.solve_with_duals(&lp)?
+        } else {
+            (solver.solve(&lp)?, Vec::new())
+        };
+        let dispatch: Vec<f64> = model.gen_vars.iter().map(|&v| sol.x[v]).collect();
+        let pf = factor.power_flow(net, &net.injections(&dispatch)?)?;
+
+        let before = limits.len();
+        for (l, br) in net.branches().iter().enumerate() {
+            let (f, fmax) = (pf.flows[l], br.flow_limit_mw);
+            let tol = LIMIT_TOL * fmax.max(1.0);
+            let sign = if f > fmax + tol {
+                1.0
+            } else if f < -fmax - tol {
+                -1.0
+            } else {
+                continue;
+            };
+            let lim = Limit { branch: l, sign };
+            if !limits.contains(&lim) {
+                limits.push(lim);
+                rows.push(ShiftRow::build(net, factor, l)?);
+            }
+        }
+        if limits.len() > before {
+            continue;
+        }
 
         // Exact cost at the LP dispatch.
         let cost: f64 = net
@@ -319,76 +456,75 @@ impl OpfLp {
         // The PWL chords lie above every convex cost curve, so the LP
         // objective can never undercut the exact cost at the same dispatch.
         debug_assert!(
-            sol.objective + self.cost_offset >= cost - 1e-6 * (1.0 + cost.abs()),
+            sol.objective + model.cost_offset >= cost - 1e-6 * (1.0 + cost.abs()),
             "PWL surrogate undercut the exact convex cost"
         );
-
-        Ok(OpfSolution {
+        let grad = if want_grad {
+            Some(cost_gradient(
+                net,
+                x,
+                factor,
+                limits,
+                &duals[base_rows..],
+                &pf.theta,
+            )?)
+        } else {
+            None
+        };
+        let sol = OpfSolution {
             dispatch,
             theta: pf.theta,
             flows: pf.flows,
             cost,
-        })
+        };
+        return Ok((sol, grad, rounds));
     }
 }
 
-/// Solves the DC-OPF and additionally returns `∂cost/∂x_l` for **every**
-/// branch (zero for branches whose reactance doesn't move the optimum),
-/// computed from the LP dual multipliers via the envelope theorem.
-///
-/// Only four constraint rows carry a given reactance `x_l` — the two
-/// nodal balance rows of its terminal buses and its own two flow-limit
-/// rows — through the susceptance `b_l = base_mva/x_l`, so with
-/// `∂b_l/∂x_l = −base_mva/x_l²` and `Δθ = θ_from − θ_to` at the LP
-/// optimum:
-///
-/// ```text
-/// ∂cost/∂x_l = ∂b_l/∂x_l · Δθ · (ŷ_bal(from) − ŷ_bal(to) − ŷ_fwd(l) − ŷ_rev(l))
-/// ```
-///
-/// This is the derivative of the LP (PWL-surrogate) objective; for
-/// linear generator costs it is exactly the derivative of
-/// [`OpfSolution::cost`], for quadratic costs it differs by the chord
-/// vs. tangent slope within one PWL segment (small, and immaterial to
-/// the optimizer that consumes it). Like the optimal value function of
-/// any LP, it is piecewise smooth: at a basis change the returned value
-/// is the one-sided derivative priced by the final simplex basis.
-///
-/// # Errors
-///
-/// Same contract as [`solve_opf_with`].
-pub fn solve_opf_grad_with(
+/// Relative tolerance past `f_max` before a limit enters the working
+/// set: flows within it count as meeting the limit.
+const LIMIT_TOL: f64 = 1e-9;
+
+/// The adjoint cost gradient of [`solve_opf_grad_with`] from the duals
+/// of the limit rows (`limit_duals[k]` prices `limits[k]`).
+fn cost_gradient(
     net: &Network,
     x: &[f64],
-    options: &OpfOptions,
-    ctx: &mut OpfContext,
-) -> Result<(OpfSolution, Vec<f64>), OpfError> {
-    let model = OpfLp::build(net, x, options)?;
-    let (sol, duals) = ctx.lp.solve_with_duals(&model.lp)?;
-
-    let slack = net.slack();
-    let theta_of = |bus: usize| -> f64 {
-        if bus == slack {
-            0.0
-        } else {
-            sol.x[model.theta_vars[bus]]
-        }
-    };
-    let bal0 = model.n_pwl_rows;
-    let flow0 = bal0 + net.n_buses();
+    factor: &PfFactor<'_>,
+    limits: &[Limit],
+    limit_duals: &[f64],
+    theta: &[f64],
+) -> Result<Vec<f64>, OpfError> {
     let mut grad = vec![0.0; net.n_branches()];
+    // ν per branch; a row dual is ∂cost/∂rhs ≤ 0, so −dual·sign is the
+    // price on the flow itself.
+    let mut nu = vec![0.0; net.n_branches()];
+    for (lim, &dual) in limits.iter().zip(limit_duals) {
+        nu[lim.branch] -= dual * lim.sign;
+    }
+    if nu.iter().all(|&v| v == 0.0) {
+        return Ok(grad);
+    }
+    let b = factor.susceptances();
+    let mut rhs = vec![0.0; net.n_states()];
+    for (l, br) in net.branches().iter().enumerate() {
+        if nu[l] != 0.0 {
+            if let Some(i) = net.reduced_index(br.from) {
+                rhs[i] += nu[l] * b[l];
+            }
+            if let Some(j) = net.reduced_index(br.to) {
+                rhs[j] -= nu[l] * b[l];
+            }
+        }
+    }
+    let w_red = factor.solve(&rhs)?;
+    let w = |bus: usize| net.reduced_index(bus).map_or(0.0, |i| w_red[i]);
     for (l, br) in net.branches().iter().enumerate() {
         let db = -net.base_mva() / (x[l] * x[l]);
-        let dtheta = theta_of(br.from) - theta_of(br.to);
-        let sensitivity = duals[bal0 + br.from]
-            - duals[bal0 + br.to]
-            - duals[flow0 + 2 * l]
-            - duals[flow0 + 2 * l + 1];
-        grad[l] = db * dtheta * sensitivity;
+        let dtheta = theta[br.from] - theta[br.to];
+        grad[l] = db * dtheta * (nu[l] - (w(br.from) - w(br.to)));
     }
-
-    let opf = model.finish(net, x, &sol, ctx)?;
-    Ok((opf, grad))
+    Ok(grad)
 }
 
 /// Solves the DC-OPF at the network's nominal reactances.

@@ -2,8 +2,10 @@
 //!
 //! * [`lp`] — a self-contained dense two-phase simplex LP solver.
 //! * [`dcopf`] — the DC optimal power flow of problem (1) of
-//!   Lakshminarayana & Yau (DSN 2018), with piecewise-linear treatment of
-//!   quadratic generator costs.
+//!   Lakshminarayana & Yau (DSN 2018) in shift-factor form: the LP keeps
+//!   only the dispatch, one system balance and the line limits found
+//!   violated so far, with piecewise-linear treatment of quadratic
+//!   generator costs and an adjoint cost gradient.
 //! * [`lbfgs`] — projected L-BFGS with multistart, the
 //!   fmincon/MultiStart analogue the `gridmtd-core` crate uses for the
 //!   reactance searches of problem (4) and the γ ceiling. Multistart
@@ -14,10 +16,12 @@
 //! * [`parallel`] — the scoped-thread fan-out helper shared by the
 //!   optimizer and the evaluation pipelines upstack.
 //!
-//! The LP layer exposes a warm-startable engine ([`lp::LpSolver`] /
-//! [`OpfContext`]): successive structurally identical solves reuse the
-//! previous optimal basis and skip simplex Phase 1 — the hot-path
-//! optimization behind `select_mtd`-style sweeps.
+//! Successive solves along one optimizer trajectory share an
+//! [`OpfContext`]: it carries the working set of line limits, so a
+//! binding line is discovered once per trajectory, and the
+//! warm-startable [`lp::LpSolver`], which reuses the previous optimal
+//! basis and skips simplex Phase 1 — the hot-path optimizations behind
+//! `select_mtd`-style sweeps.
 //!
 //! # Example
 //!

@@ -7,8 +7,11 @@
 //! form and solves with a dense two-phase simplex using Dantzig pricing
 //! and a Bland's-rule fallback for anti-cycling.
 //!
-//! Problem sizes in this workspace are tiny by LP standards (≲ 500 rows),
-//! so a dense tableau is the simplest robust choice.
+//! The DC-OPF hands it the shift-factor LP over the dispatch: one balance
+//! row, the PWL coupling rows, the few line limits in the working set
+//! and one bound row per dispatch column — 17 standard-form rows on
+//! case118 and 43 on case300 at the pre-perturbation point. At that size
+//! a dense tableau and a dense basis LU are the simplest robust choice.
 //!
 //! # Warm starts
 //!
@@ -24,23 +27,15 @@
 //! along an optimizer trajectory — a warm Phase 1 plants artificial
 //! columns only on the violated rows and repairs feasibility in a
 //! handful of pivots. Only a stale basis the repair cannot rescue
-//! (singular, genuinely infeasible, or past the iteration limit) falls
-//! back to the cold two-phase path, so warm and cold solves always
-//! agree on the optimum.
+//! (singular, genuinely infeasible, unbounded, or past the iteration
+//! limit) falls back to the cold two-phase path, so warm and cold solves
+//! always agree on the optimum and only the cold path certifies
+//! infeasibility or unboundedness.
 
 use std::error::Error;
 use std::fmt;
 
-use gridmtd_linalg::sparse::{SparseLu, SparseMatrix};
 use gridmtd_linalg::{LinalgError, Lu, Matrix};
-
-/// Row-count crossover for the warm-path basis factorization: at or
-/// above this many constraint rows the basis matrix is factored with
-/// the sparse Gilbert–Peierls LU (an LP basis for a large DC-OPF has a
-/// handful of nonzeros per column, so the dense `O(m³)` factorization is
-/// the dominant cost of a warm resolve); below it the dense LU wins on
-/// constant factors and keeps the paper-scale cases byte-stable.
-const SPARSE_BASIS_MIN_ROWS: usize = 100;
 
 /// Constraint relation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -568,7 +563,7 @@ impl LpSolver {
 
         if let Some((saved, saved_shape)) = self.basis.take() {
             if saved_shape == shape {
-                match warm_resolve(&std, &saved)? {
+                match warm_resolve(&std, &saved) {
                     WarmOutcome::Solved { y, basis, factor } => {
                         let duals = if want_duals {
                             Some(recover_duals(
@@ -618,7 +613,7 @@ fn recover_duals(
     std: &Standardized,
     basis: &[usize],
     n_user: usize,
-    factor: Option<&BasisFactor>,
+    factor: Option<&Lu>,
 ) -> Result<Vec<f64>, LpError> {
     let m = std.a.len();
     debug_assert!(n_user <= m || m == 0);
@@ -631,7 +626,7 @@ fn recover_duals(
     let lu = match factor {
         Some(lu) => lu,
         None => {
-            fresh = BasisFactor::factor(std, basis).map_err(|_| LpError::DualRecovery)?;
+            fresh = factor_basis(std, basis).map_err(|_| LpError::DualRecovery)?;
             &fresh
         }
     };
@@ -651,125 +646,50 @@ fn recover_duals(
         .collect())
 }
 
-/// Factorized basis matrix for the warm path: dense LU below
-/// [`SPARSE_BASIS_MIN_ROWS`] rows, sparse Gilbert–Peierls LU above.
-///
-/// Both factorizations serve the primal solve (`B x_B = b`), the dual
-/// solve (`Bᵀ y = c_B`) and, when pivots are still needed, the tableau
-/// build `B⁻¹[A | b]` — via an explicit inverse in the dense case and
-/// per-column sparse solves in the sparse case.
-enum BasisFactor {
-    Dense(Lu),
-    Sparse(SparseLu),
+/// Factorizes the basis matrix `B` of `saved` (dense LU: the DC-OPF's
+/// shift-factor LP has a few dozen rows). Column indices `≥ total_cols`
+/// are the two-phase artificial columns (unit columns `e_{j−n}`), which
+/// a cold basis may retain on redundant rows; both the warm path and the
+/// dual recovery accept them.
+fn factor_basis(std: &Standardized, saved: &[usize]) -> Result<Lu, LinalgError> {
+    let m = std.a.len();
+    let n = std.total_cols;
+    let bmat = Matrix::from_fn(m, m, |i, k| {
+        let j = saved[k];
+        if j >= n {
+            f64::from(u8::from(i == j - n))
+        } else {
+            std.a[i][j]
+        }
+    });
+    Lu::factor(&bmat)
 }
 
-impl BasisFactor {
-    /// Factorizes the basis matrix. Column indices `≥ total_cols` are
-    /// the two-phase artificial columns (unit columns `e_{j−n}`), which
-    /// a cold basis may retain on redundant rows; both the warm path and
-    /// the dual recovery accept them.
-    fn factor(std: &Standardized, saved: &[usize]) -> Result<BasisFactor, LinalgError> {
-        let m = std.a.len();
-        let n = std.total_cols;
-        if m >= SPARSE_BASIS_MIN_ROWS {
-            // Stream the (row-major) constraint matrix once instead of
-            // extracting basis columns with strided reads — at DC-OPF
-            // sizes the strided scan is the dominant cost of a warm
-            // resolve. The triplet order is irrelevant: the CSC build
-            // buckets by column and sorts by row.
-            let mut pos = vec![usize::MAX; n];
-            let mut triplets = Vec::new();
-            for (k, &j) in saved.iter().enumerate() {
-                if j >= n {
-                    triplets.push((j - n, k, 1.0));
-                } else {
-                    pos[j] = k;
-                }
-            }
-            for (i, row) in std.a.iter().enumerate() {
-                for (j, &v) in row.iter().enumerate() {
-                    if v != 0.0 && pos[j] != usize::MAX {
-                        triplets.push((i, pos[j], v));
-                    }
-                }
-            }
-            let bmat = SparseMatrix::from_triplets(m, m, &triplets)?;
-            Ok(BasisFactor::Sparse(SparseLu::factor(&bmat)?))
-        } else {
-            let bmat = Matrix::from_fn(m, m, |i, k| {
-                let j = saved[k];
-                if j >= n {
-                    f64::from(u8::from(i == j - n))
-                } else {
-                    std.a[i][j]
-                }
-            });
-            Ok(BasisFactor::Dense(Lu::factor(&bmat)?))
-        }
-    }
-
-    fn solve(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        match self {
-            BasisFactor::Dense(lu) => lu.solve(b),
-            BasisFactor::Sparse(lu) => lu.solve(b),
-        }
-    }
-
-    fn solve_transposed(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        match self {
-            BasisFactor::Dense(lu) => lu.solve_transposed(b),
-            BasisFactor::Sparse(lu) => lu.solve_transposed(b),
-        }
-    }
-
-    /// Builds the tableau `B⁻¹[A | b]` in the saved basis, with the
-    /// basic values `xb` copied verbatim into the last column — callers
-    /// that need a feasible Phase-2 start clamp `xb` at zero first,
-    /// while the warm Phase-1 repair needs the raw (possibly negative)
-    /// values to locate the violated rows.
-    fn tableau(&self, std: &Standardized, xb: &[f64]) -> Result<Vec<Vec<f64>>, LinalgError> {
-        let m = std.a.len();
-        let n = std.total_cols;
-        let width = n + 1;
-        let mut t = vec![vec![0.0; width]; m];
-        match self {
-            BasisFactor::Dense(lu) => {
-                let binv = lu.inverse()?;
-                for i in 0..m {
-                    for k in 0..m {
-                        let w = binv[(i, k)];
-                        if w != 0.0 {
-                            let (ti, ak) = (&mut t[i], &std.a[k]);
-                            for (tij, &akj) in ti.iter_mut().zip(ak.iter()) {
-                                *tij += w * akj;
-                            }
-                        }
-                    }
-                }
-            }
-            BasisFactor::Sparse(lu) => {
-                // Transpose the constraint matrix once so each column
-                // solve reads a contiguous slice instead of a strided
-                // scan over the row-major storage.
-                let mut at = vec![0.0; n * m];
-                for (i, row) in std.a.iter().enumerate() {
-                    for (j, &v) in row.iter().enumerate() {
-                        at[j * m + i] = v;
-                    }
-                }
-                for j in 0..n {
-                    let col = lu.solve(&at[j * m..(j + 1) * m])?;
-                    for (i, v) in col.into_iter().enumerate() {
-                        t[i][j] = v;
-                    }
+/// Builds the tableau `B⁻¹[A | b]` in the factored basis, with the basic
+/// values `xb` copied verbatim into the last column — callers that need
+/// a feasible Phase-2 start clamp `xb` at zero first, while the warm
+/// Phase-1 repair needs the raw (possibly negative) values to locate
+/// the violated rows.
+fn basis_tableau(lu: &Lu, std: &Standardized, xb: &[f64]) -> Result<Vec<Vec<f64>>, LinalgError> {
+    let m = std.a.len();
+    let n = std.total_cols;
+    let mut t = vec![vec![0.0; n + 1]; m];
+    let binv = lu.inverse()?;
+    for i in 0..m {
+        for k in 0..m {
+            let w = binv[(i, k)];
+            if w != 0.0 {
+                let (ti, ak) = (&mut t[i], &std.a[k]);
+                for (tij, &akj) in ti.iter_mut().zip(ak.iter()) {
+                    *tij += w * akj;
                 }
             }
         }
-        for (ti, &xbi) in t.iter_mut().zip(xb.iter()) {
-            ti[n] = xbi;
-        }
-        Ok(t)
     }
+    for (ti, &xbi) in t.iter_mut().zip(xb.iter()) {
+        ti[n] = xbi;
+    }
+    Ok(t)
 }
 
 /// Result of a warm-start attempt.
@@ -784,7 +704,7 @@ enum WarmOutcome {
         /// refactoring — at DC-OPF sizes the basis LU is the dominant
         /// cost of a warm solve, and this halves it. Boxed so the
         /// pivoting variants don't carry the factorization's footprint.
-        factor: Option<Box<BasisFactor>>,
+        factor: Option<Box<Lu>>,
     },
     /// Saved basis unusable for this data; run the cold path.
     FallBackCold,
@@ -804,27 +724,29 @@ enum WarmOutcome {
 /// 3. otherwise build the Phase-2 tableau `B⁻¹[A | b]` and pivot to
 ///    optimality (no Phase 1, artificials frozen at zero).
 ///
-/// Unboundedness discovered from a feasible basis is genuine and is
-/// propagated; an iteration-limited resolve or a Phase-1 residual
-/// requests the cold fallback instead of erroring.
-fn warm_resolve(std: &Standardized, saved: &[usize]) -> Result<WarmOutcome, LpError> {
+/// The warm path never certifies anything: an unbounded ray, an
+/// iteration-limited resolve or a Phase-1 residual requests the cold
+/// fallback, so only the cold path reports [`LpError::Unbounded`] or
+/// [`LpError::Infeasible`]. (A ray found from a drifted basis can be an
+/// artifact of roundoff in the re-factored tableau.)
+fn warm_resolve(std: &Standardized, saved: &[usize]) -> WarmOutcome {
     let m = std.a.len();
     let n = std.total_cols;
     if m == 0 || saved.len() != m || saved.iter().any(|&j| j >= n + m) {
-        return Ok(WarmOutcome::FallBackCold);
+        return WarmOutcome::FallBackCold;
     }
     // Injection point for the chaos matrix: forcing the fallback here
     // must leave the returned solution bit-identical (the cold path is
     // the certifier the warm path is pinned against).
     if gridmtd_faults::point!("opf.lp.warm_resolve") {
-        return Ok(WarmOutcome::FallBackCold);
+        return WarmOutcome::FallBackCold;
     }
 
-    let Ok(lu) = BasisFactor::factor(std, saved) else {
-        return Ok(WarmOutcome::FallBackCold); // singular basis
+    let Ok(lu) = factor_basis(std, saved) else {
+        return WarmOutcome::FallBackCold; // singular basis
     };
     let Ok(xb) = lu.solve(&std.b) else {
-        return Ok(WarmOutcome::FallBackCold);
+        return WarmOutcome::FallBackCold;
     };
     // Primal infeasible for the new data: repair with a warm Phase 1.
     if xb.iter().any(|&v| v < -1e-7) {
@@ -840,7 +762,7 @@ fn warm_resolve(std: &Standardized, saved: &[usize]) -> Result<WarmOutcome, LpEr
         .zip(xb.iter())
         .any(|(&j, &v)| j >= n && v.abs() > 1e-7)
     {
-        return Ok(WarmOutcome::FallBackCold);
+        return WarmOutcome::FallBackCold;
     }
 
     // Duals and reduced costs: r_j = c_j − yᵀa_j, with the dual solve
@@ -851,7 +773,7 @@ fn warm_resolve(std: &Standardized, saved: &[usize]) -> Result<WarmOutcome, LpEr
         .map(|&j| if j < n { std.cost[j] } else { 0.0 })
         .collect();
     let Ok(dual) = lu.solve_transposed(&cb) else {
-        return Ok(WarmOutcome::FallBackCold);
+        return WarmOutcome::FallBackCold;
     };
     let mut in_basis = vec![false; n];
     for &j in saved {
@@ -882,11 +804,11 @@ fn warm_resolve(std: &Standardized, saved: &[usize]) -> Result<WarmOutcome, LpEr
                 y[j] = xb[k].max(0.0);
             }
         }
-        return Ok(WarmOutcome::Solved {
+        return WarmOutcome::Solved {
             y,
             basis: saved.to_vec(),
             factor: Some(Box::new(lu)),
-        });
+        };
     }
 
     // Saved basis is feasible but no longer optimal: express the tableau
@@ -894,8 +816,8 @@ fn warm_resolve(std: &Standardized, saved: &[usize]) -> Result<WarmOutcome, LpEr
     // basic values are clamped at zero (the feasibility check above
     // bounds them at −1e-7).
     let xb_clamped: Vec<f64> = xb.iter().map(|&v| v.max(0.0)).collect();
-    let Ok(t) = lu.tableau(std, &xb_clamped) else {
-        return Ok(WarmOutcome::FallBackCold);
+    let Ok(t) = basis_tableau(&lu, std, &xb_clamped) else {
+        return WarmOutcome::FallBackCold;
     };
     let mut t = t;
     let width = n + 1;
@@ -912,16 +834,14 @@ fn warm_resolve(std: &Standardized, saved: &[usize]) -> Result<WarmOutcome, LpEr
                     y[basis[i]] = t[i][width - 1];
                 }
             }
-            Ok(WarmOutcome::Solved {
+            WarmOutcome::Solved {
                 y,
                 basis,
                 factor: None,
-            })
+            }
         }
-        // A stalled warm resolve is recoverable: retry cold.
-        Err(LpError::IterationLimit) => Ok(WarmOutcome::FallBackCold),
-        // Unbounded from a feasible basis is a property of the problem.
-        Err(e) => Err(e),
+        // A stalled or unbounded warm resolve is retried cold.
+        Err(_) => WarmOutcome::FallBackCold,
     }
 }
 
@@ -936,26 +856,22 @@ fn warm_resolve(std: &Standardized, saved: &[usize]) -> Result<WarmOutcome, LpEr
 /// Falls back cold when the saved basis already carries legacy
 /// artificials (their index space would collide with the repair
 /// columns), when Phase 1 cannot close the gap (the problem may be
-/// genuinely infeasible — the cold path is the certifier), or when a
+/// genuinely infeasible — the cold path is the certifier), when Phase 2
+/// meets an unbounded ray (the cold path certifies that too), or when a
 /// repair artificial survives in the basis.
-fn warm_repair(
-    std: &Standardized,
-    lu: &BasisFactor,
-    saved: &[usize],
-    xb: &[f64],
-) -> Result<WarmOutcome, LpError> {
+fn warm_repair(std: &Standardized, lu: &Lu, saved: &[usize], xb: &[f64]) -> WarmOutcome {
     let m = std.a.len();
     let n = std.total_cols;
     if saved.iter().any(|&j| j >= n) {
-        return Ok(WarmOutcome::FallBackCold);
+        return WarmOutcome::FallBackCold;
     }
     // Injection point: a repair that gives up must degrade to the cold
     // path with a bit-identical solution, never a wrong answer.
     if gridmtd_faults::point!("opf.lp.warm_repair") {
-        return Ok(WarmOutcome::FallBackCold);
+        return WarmOutcome::FallBackCold;
     }
-    let Ok(mut t) = lu.tableau(std, xb) else {
-        return Ok(WarmOutcome::FallBackCold);
+    let Ok(mut t) = basis_tableau(lu, std, xb) else {
+        return WarmOutcome::FallBackCold;
     };
     let neg_rows: Vec<usize> = (0..m).filter(|&i| t[i][n] < 0.0).collect();
     let n_art = neg_rows.len();
@@ -982,7 +898,7 @@ fn warm_repair(
     }
     match run_simplex(&mut t, &mut basis, &p1_cost, n + n_art) {
         Ok(p1) if p1 <= 1e-7 => {}
-        Ok(_) | Err(_) => return Ok(WarmOutcome::FallBackCold),
+        Ok(_) | Err(_) => return WarmOutcome::FallBackCold,
     }
     // Drive zero-valued artificials out of the basis where possible.
     for i in 0..m {
@@ -993,10 +909,10 @@ fn warm_repair(
         }
     }
     // A surviving artificial lives in the repair index space, which the
-    // next solve's `BasisFactor` would misread as a unit row column:
+    // next solve's basis factorization would misread as a unit row column:
     // don't let it escape this function.
     if basis.iter().any(|&j| j >= n) {
-        return Ok(WarmOutcome::FallBackCold);
+        return WarmOutcome::FallBackCold;
     }
 
     let mut p2_cost = vec![0.0; width - 1];
@@ -1009,14 +925,13 @@ fn warm_repair(
                     y[basis[i]] = t[i][width - 1];
                 }
             }
-            Ok(WarmOutcome::Solved {
+            WarmOutcome::Solved {
                 y,
                 basis,
                 factor: None,
-            })
+            }
         }
-        Err(LpError::IterationLimit) => Ok(WarmOutcome::FallBackCold),
-        Err(e) => Err(e),
+        Err(_) => WarmOutcome::FallBackCold,
     }
 }
 
@@ -1467,6 +1382,24 @@ mod tests {
         lp.set_rhs(2, 20.0);
         let sol = solver.solve(&lp).unwrap();
         assert_close(sol.objective, lp.solve().unwrap().objective, 1e-9);
+    }
+
+    #[test]
+    fn warm_start_reports_unboundedness_via_cold_path() {
+        // Same shape, but a cost flip opens an unbounded ray: the warm
+        // Phase 2 finds it and hands the certificate to the cold path.
+        let mut lp = LpProblem::new();
+        let x = lp.add_var(0.0, f64::INFINITY, 1.0);
+        let y = lp.add_var(0.0, f64::INFINITY, 1.0);
+        lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Ge, 2.0);
+        let mut solver = LpSolver::new();
+        solver.solve(&lp).unwrap();
+        lp.set_cost(y, -1.0);
+        assert_eq!(solver.solve(&lp).unwrap_err(), LpError::Unbounded);
+        assert_eq!(solver.warm_solves(), 0);
+        // ...and the solver recovers on the next bounded instance.
+        lp.set_cost(y, 1.0);
+        assert_close(solver.solve(&lp).unwrap().objective, 2.0, 1e-9);
     }
 
     #[test]

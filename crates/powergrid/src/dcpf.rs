@@ -22,7 +22,11 @@
 //! a fresh context; hot loops (OPF objective evaluations, Monte-Carlo
 //! trials, timeline hours) should hold one [`PfContext`] per thread and
 //! call [`solve_dc_with`] / [`solve_dispatch_with`] so the symbolic work
-//! is amortized across the whole loop.
+//! is amortized across the whole loop. [`PfContext::factor`] hands out
+//! the factorization of `B̃(x)` itself ([`PfFactor`]) for callers that
+//! solve several right-hand sides at one `x` — the DC-OPF recovers its
+//! flows, builds its shift-factor rows and runs its adjoint gradient
+//! solve from one factor per call.
 
 use std::sync::Arc;
 
@@ -308,56 +312,122 @@ pub fn solve_dc_with(
             actual: injections.len(),
         });
     }
-    let slack = net.slack();
-    let p_red = |injections: &[f64]| -> Vec<f64> {
-        injections
+    ctx.factor(net, x)?.power_flow(net, injections)
+}
+
+impl PfContext {
+    /// Factors `B̃(x)` once for many solves against it: the sparse
+    /// Cholesky (numeric phase on the cached symbolic analysis) at or
+    /// above [`SPARSE_MIN_BUSES`], the dense LU below.
+    ///
+    /// One factor serves the flow recovery ([`PfFactor::power_flow`],
+    /// the arithmetic of [`solve_dc_with`]) and any number of extra
+    /// right-hand sides ([`PfFactor::solve`]), such as shift-factor rows
+    /// or an adjoint solve.
+    ///
+    /// # Errors
+    ///
+    /// Propagates reactance validation and factorization failures.
+    pub fn factor(&mut self, net: &Network, x: &[f64]) -> Result<PfFactor<'_>, GridError> {
+        if self.uses_sparse(net) {
+            let suscept = net.susceptances(x)?;
+            let numeric = self.refactor(net, &suscept)?;
+            Ok(PfFactor {
+                kind: FactorKind::Sparse(numeric),
+                suscept,
+            })
+        } else {
+            // The historical dense path, operation for operation (byte
+            // stability for the paper-scale cases).
+            let lu = Lu::factor(&net.b_reduced(x)?)?;
+            Ok(PfFactor {
+                kind: FactorKind::Dense(lu),
+                suscept: net.susceptances(x)?,
+            })
+        }
+    }
+}
+
+/// A factorization of the reduced susceptance matrix `B̃(x)` at one
+/// reactance vector, borrowed from (or built by) a [`PfContext`].
+#[derive(Debug)]
+pub struct PfFactor<'a> {
+    kind: FactorKind<'a>,
+    suscept: Vec<f64>,
+}
+
+#[derive(Debug)]
+enum FactorKind<'a> {
+    Dense(Lu),
+    Sparse(&'a SparseCholesky),
+}
+
+impl PfFactor<'_> {
+    /// Branch susceptances `b_l = base_mva / x_l` at the factored `x`.
+    pub fn susceptances(&self) -> &[f64] {
+        &self.suscept
+    }
+
+    /// Solves `B̃ y = rhs` in the slack-reduced index space (see
+    /// [`Network::reduced_index`]).
+    ///
+    /// # Errors
+    ///
+    /// [`GridError::Numerical`] on a length mismatch.
+    pub fn solve(&self, rhs: &[f64]) -> Result<Vec<f64>, GridError> {
+        Ok(match &self.kind {
+            FactorKind::Dense(lu) => lu.solve(rhs)?,
+            FactorKind::Sparse(chol) => chol.solve(rhs)?,
+        })
+    }
+
+    /// DC power flow for the requested nodal injections (the slack entry
+    /// is ignored), with the arithmetic of [`solve_dc_with`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates solve failures.
+    pub fn power_flow(&self, net: &Network, injections: &[f64]) -> Result<PowerFlow, GridError> {
+        let n = net.n_buses();
+        let slack = net.slack();
+        let p_red: Vec<f64> = injections
             .iter()
             .enumerate()
             .filter_map(|(i, &p)| (i != slack).then_some(p))
-            .collect()
-    };
+            .collect();
+        let theta_red = self.solve(&p_red)?;
 
-    let (theta_red, b) = if ctx.uses_sparse(net) {
-        let b = net.susceptances(x)?;
-        let numeric = ctx.refactor(net, &b)?;
-        (numeric.solve(&p_red(injections))?, b)
-    } else {
-        // The historical dense path, operation for operation (byte
-        // stability for the paper-scale cases).
-        let b_red = net.b_reduced(x)?;
-        let theta_red = Lu::factor(&b_red)?.solve(&p_red(injections))?;
-        (theta_red, net.susceptances(x)?)
-    };
-
-    let mut theta = Vec::with_capacity(n);
-    let mut it = theta_red.iter();
-    for i in 0..n {
-        if i == slack {
-            theta.push(0.0);
-        } else {
-            theta.push(*it.next().expect("reduced state has n-1 entries"));
+        let mut theta = Vec::with_capacity(n);
+        let mut it = theta_red.iter();
+        for i in 0..n {
+            if i == slack {
+                theta.push(0.0);
+            } else {
+                theta.push(*it.next().expect("reduced state has n-1 entries"));
+            }
         }
+
+        let b = &self.suscept;
+        let flows: Vec<f64> = net
+            .branches()
+            .iter()
+            .enumerate()
+            .map(|(l, br)| b[l] * (theta[br.from] - theta[br.to]))
+            .collect();
+
+        // Realized injections from flow conservation (slack absorbs imbalance).
+        let mut realized = vec![0.0; n];
+        for (l, br) in net.branches().iter().enumerate() {
+            realized[br.from] += flows[l];
+            realized[br.to] -= flows[l];
+        }
+
+        Ok(PowerFlow {
+            theta,
+            flows,
+            injections: realized,
+        })
     }
-
-    let flows: Vec<f64> = net
-        .branches()
-        .iter()
-        .enumerate()
-        .map(|(l, br)| b[l] * (theta[br.from] - theta[br.to]))
-        .collect();
-
-    // Realized injections from flow conservation (slack absorbs imbalance).
-    let mut realized = vec![0.0; n];
-    for (l, br) in net.branches().iter().enumerate() {
-        realized[br.from] += flows[l];
-        realized[br.to] -= flows[l];
-    }
-
-    Ok(PowerFlow {
-        theta,
-        flows,
-        injections: realized,
-    })
 }
 
 #[cfg(test)]
