@@ -85,7 +85,7 @@ fn bench_sparse_refactor(c: &mut Criterion) {
     // The MTD loop shape: the topology is fixed, only reactance values
     // drift. With a warm `PfContext` each solve is a numeric-only
     // refactorization (the symbolic factorization is cached), which is
-    // the amortized per-perturbation cost inside `select_mtd` objective
+    // the amortized per-perturbation cost inside selection objective
     // evaluations, Monte-Carlo trials and timeline hours.
     let net = cases::case118();
     let share = net.total_load() / net.n_gens() as f64;

@@ -5,20 +5,13 @@
 //!
 //! ```text
 //! bench_gate <baseline.json> <candidate.json> <max_ratio> <bench-id>...
-//! bench_gate --within <snapshot.json> <max_ratio> <bench-a> <bench-b>
 //! ```
 //!
 //! The files hold one `{"bench":…,"mean_ns":…,"iters":…}` object per
-//! line (the format the vendored criterion stand-in emits).
-//!
-//! * Cross-file mode: every named bench id must be present in both
-//!   files; `ratio = candidate/baseline` must satisfy
-//!   `ratio <= max_ratio`. Run machines differ, so this gate is a
-//!   coarse tripwire (the CI threshold is 2×), not a precision meter.
-//! * `--within` mode: compares two rows **of the same snapshot** —
-//!   `mean(a) <= max_ratio * mean(b)`. Both rows come from one run on
-//!   one machine, so tight ratios (e.g. the 1.05× session-vs-hoisted
-//!   selection contract) are meaningful.
+//! line (the format the vendored criterion stand-in emits). Every named
+//! bench id must be present in both files; `ratio = candidate/baseline`
+//! must satisfy `ratio <= max_ratio`. Run machines differ, so this gate
+//! is a coarse tripwire (the CI threshold is 2×), not a precision meter.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -49,44 +42,7 @@ fn load_snapshot(path: &str) -> Result<BTreeMap<String, f64>, String> {
     Ok(text.lines().filter_map(parse_line).collect())
 }
 
-/// `--within` mode: `mean(bench_a) <= max_ratio * mean(bench_b)` inside
-/// one snapshot.
-fn run_within(args: &[String]) -> Result<(), String> {
-    let [snapshot_path, max_ratio, bench_a, bench_b] = args else {
-        return Err(
-            "usage: bench_gate --within <snapshot.json> <max_ratio> <bench-a> <bench-b>".into(),
-        );
-    };
-    let max_ratio: f64 = max_ratio
-        .parse()
-        .map_err(|e| format!("bad max_ratio {max_ratio:?}: {e}"))?;
-    let snapshot = load_snapshot(snapshot_path)?;
-    let lookup = |id: &String| {
-        snapshot
-            .get(id)
-            .copied()
-            .ok_or_else(|| format!("bench {id:?} missing from {snapshot_path}"))
-    };
-    let a = lookup(bench_a)?;
-    let b = lookup(bench_b)?;
-    let ratio = a / b;
-    println!(
-        "{bench_a}: {a:.0} ns vs {bench_b}: {b:.0} ns — ratio {ratio:.3} (allowed {max_ratio})"
-    );
-    if ratio <= max_ratio {
-        println!("bench gate passed");
-        Ok(())
-    } else {
-        Err(format!(
-            "{bench_a} is {ratio:.3}x of {bench_b}, allowed {max_ratio}"
-        ))
-    }
-}
-
 fn run(args: &[String]) -> Result<(), String> {
-    if args.first().map(String::as_str) == Some("--within") {
-        return run_within(&args[1..]);
-    }
     let [baseline_path, candidate_path, max_ratio, benches @ ..] = args else {
         return Err(
             "usage: bench_gate <baseline.json> <candidate.json> <max_ratio> <bench-id>...".into(),
@@ -178,30 +134,5 @@ mod tests {
         let mut missing = args("2.0");
         missing[3] = "nope".into();
         assert!(run(&missing).is_err());
-    }
-
-    #[test]
-    fn within_mode_compares_rows_of_one_snapshot() {
-        let dir = std::env::temp_dir().join("gridmtd_bench_gate_within_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let snap = dir.join("snap.json");
-        std::fs::write(
-            &snap,
-            "{\"bench\":\"sess/x\",\"mean_ns\":102.0,\"iters\":1}\n\
-             {\"bench\":\"hand/x\",\"mean_ns\":100.0,\"iters\":1}\n",
-        )
-        .unwrap();
-        let args = |ratio: &str, a: &str| {
-            vec![
-                "--within".to_string(),
-                snap.to_str().unwrap().to_string(),
-                ratio.to_string(),
-                a.to_string(),
-                "hand/x".to_string(),
-            ]
-        };
-        assert!(run(&args("1.05", "sess/x")).is_ok());
-        assert!(run(&args("1.01", "sess/x")).is_err());
-        assert!(run(&args("1.05", "nope/x")).is_err());
     }
 }

@@ -10,7 +10,7 @@
 //! Usage: `discussion_impact [--attacks N] [--starts N] [--evals N]`
 
 use gridmtd_bench::{paperconfig, report};
-use gridmtd_core::{impact, selection, MtdError};
+use gridmtd_core::{impact, MtdError, MtdSession};
 use gridmtd_powergrid::cases;
 
 fn main() -> Result<(), MtdError> {
@@ -41,10 +41,11 @@ fn main() -> Result<(), MtdError> {
     );
     println!();
 
-    // Premium side: the SPA-constrained MTD at a strong threshold.
-    let x_pre = net.nominal_reactances();
-    let sel = selection::select_mtd(&net, &x_pre, 0.2, &cfg)?;
-    let base = gridmtd_opf::solve_opf(&net, &x_pre, &cfg.opf_options())?;
+    // Premium side: the SPA-constrained MTD at a strong threshold,
+    // priced against the OPF at the nominal reactances.
+    let session = MtdSession::builder(net).config(cfg).build()?;
+    let sel = session.select(0.2)?;
+    let base = session.opf_pre()?;
     let premium = 100.0 * (sel.opf.cost - base.cost).max(0.0) / base.cost;
     println!("MTD premium at gamma >= 0.2 (eta'(0.9) ~ 0.9+ per Fig. 6a): {premium:.2}%");
     println!();

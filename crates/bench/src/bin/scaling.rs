@@ -1,16 +1,15 @@
 //! **Scaling study** — how the MTD pipeline scales with grid size, on
-//! synthetic meshed networks (substitute for additional IEEE datasets;
-//! see `DESIGN.md`).
+//! synthetic meshed networks (substitute for additional IEEE datasets).
 //!
-//! For each size: time the DC-OPF, the subspace angle and one
-//! SPA-constrained selection round; report the attainable γ ceiling.
+//! For each size: time the DC-OPF, the subspace angle and the γ-ceiling
+//! search of a fresh session; report the attainable γ ceiling.
 //!
 //! Usage: `scaling [--starts N] [--evals N]`
 
 use std::time::Instant;
 
 use gridmtd_bench::{paperconfig, report};
-use gridmtd_core::{selection, spa, MtdError};
+use gridmtd_core::{spa, MtdError, MtdSession};
 use gridmtd_powergrid::cases::{synthetic, SyntheticConfig};
 
 fn main() -> Result<(), MtdError> {
@@ -45,7 +44,10 @@ fn main() -> Result<(), MtdError> {
         let gamma_ms = t0.elapsed().as_secs_f64() * 1e3;
 
         let t0 = Instant::now();
-        let (_, ceiling) = selection::max_achievable_gamma(&net, &x0, &cfg)?;
+        let session = MtdSession::builder(net.clone())
+            .config(cfg.clone())
+            .build()?;
+        let &(_, ceiling) = session.max_gamma()?;
         let select_ms = t0.elapsed().as_secs_f64() * 1e3;
 
         rows.push(vec![

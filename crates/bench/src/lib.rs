@@ -1,10 +1,13 @@
-//! Experiment harness for the paper's tables and figures.
+//! Experiment harness for the paper's tables, plus the benches.
 //!
-//! Each binary in `src/bin/` regenerates one artifact of the paper
-//! (Lakshminarayana & Yau, DSN 2018); `EXPERIMENTS.md` at the workspace
-//! root records paper-vs-measured values. The [`report`] module holds the
+//! The binaries in `src/bin/` print the paper's Tables I–III
+//! (Lakshminarayana & Yau, DSN 2018), the Section VII-D damage-vs-premium
+//! comparison (`discussion_impact`) and a grid-size scaling study
+//! (`scaling`); `bench_gate` gates criterion snapshots against committed
+//! baselines. The figures are checked-in scenarios run by the `gridmtd`
+//! CLI (see `docs/REPRODUCING.md`). The [`report`] module holds the
 //! shared text-table printer, and [`paperconfig`] pins the calibrated
-//! experiment configuration (noise σ etc., see `DESIGN.md`).
+//! experiment configuration (noise σ etc.).
 
 pub mod paperconfig;
 pub mod report;

@@ -1,9 +1,9 @@
-//! The calibrated experiment configuration shared by all figure/table
+//! The calibrated experiment configuration shared by the experiment
 //! binaries.
 //!
 //! The paper specifies α = 5 × 10⁻⁴, ‖a‖₁/‖z‖₁ ≈ 0.08, 1000 attacks and
-//! η_max = 0.5, but not the measurement-noise σ. `DESIGN.md` documents
-//! the calibration: σ = 0.10 MW (0.001 p.u.) reproduces the operating point of
+//! η_max = 0.5, but not the measurement-noise σ. The calibration:
+//! σ = 0.10 MW (0.001 p.u.) reproduces the operating point of
 //! Fig. 6(a) (η'(0.95) ≈ 0.96–0.97 at the top of the attainable γ range,
 //! matching the paper's 0.97 at γ = 0.44).
 

@@ -6,8 +6,8 @@
 //! Monte-Carlo over 1000 random attacks `a = Hc` (Gaussian `c`, scaled to
 //! `‖a‖₁/‖z‖₁ ≈ 0.08`) × 1000 noise draws; here each attack's detection
 //! probability is computed in closed form (noncentral χ², Appendix B),
-//! with an optional Monte-Carlo cross-check used by the ablation
-//! experiments.
+//! with a Monte-Carlo cross-check ([`monte_carlo_detection`]) that the
+//! tests hold it to. Scoring runs through [`crate::MtdSession::evaluate`].
 //!
 //! Both the per-attack analytic scoring and the Monte-Carlo cross-check
 //! fan out across scoped worker threads
@@ -17,7 +17,6 @@
 
 use gridmtd_attack::{AttackerKnowledge, FdiAttack};
 use gridmtd_estimation::{BadDataDetector, EstimatorContext, NoiseModel, StateEstimator};
-use gridmtd_linalg::subspace::OrthonormalBasis;
 use gridmtd_linalg::Matrix;
 use gridmtd_powergrid::{dcpf, Network};
 use rand::rngs::StdRng;
@@ -85,36 +84,13 @@ pub fn midpoint_attack_index(detection_probs: &[f64]) -> Result<usize, MtdError>
         .expect("non-empty slice"))
 }
 
-/// Builds the detector a grid operator would run after switching to the
-/// post-MTD reactances `x_post`.
-///
-/// # Errors
-///
-/// Propagates model-construction failures.
-pub fn post_mtd_detector(
-    net: &Network,
-    x_post: &[f64],
-    cfg: &MtdConfig,
-) -> Result<BadDataDetector, MtdError> {
-    detector_from_h(net.measurement_matrix(x_post)?, cfg)
-}
-
-/// Builds the post-MTD detector from an already-constructed measurement
-/// matrix (the hoisted path for loops that hold `H'` anyway).
-///
-/// # Errors
-///
-/// Propagates model-construction failures.
-pub fn detector_from_h(h_post: Matrix, cfg: &MtdConfig) -> Result<BadDataDetector, MtdError> {
-    detector_from_h_ctx(h_post, cfg, &mut EstimatorContext::new())
-}
-
-/// [`detector_from_h`] with a reusable [`EstimatorContext`]: on the
-/// sparse estimator backend the gain matrix's symbolic factorization is
-/// shared across every detector built for the same topology (the
-/// pattern of `HᵀWH` never changes under reactance perturbations), so
-/// only the numeric phase runs per candidate. Bit-identical to the
-/// fresh-context path.
+/// Builds the bad-data detector a grid operator would run on the
+/// post-MTD matrix `h_post`, through a reusable [`EstimatorContext`]:
+/// on the sparse estimator backend the gain matrix's symbolic
+/// factorization is shared across every detector built for the same
+/// topology (the pattern of `HᵀWH` never changes under reactance
+/// perturbations), so only the numeric phase runs per candidate.
+/// Bit-identical to a fresh context.
 pub(crate) fn detector_from_h_ctx(
     h_post: Matrix,
     cfg: &MtdConfig,
@@ -126,26 +102,10 @@ pub(crate) fn detector_from_h_ctx(
 }
 
 /// Builds the paper's attack ensemble: the attacker knows the
-/// pre-perturbation `H(x_pre)` and scales attacks against the
+/// pre-perturbation `H(x_pre)` (passed in, so a caller holding the
+/// matrix never rebuilds it) and scales attacks against the
 /// measurements it eavesdropped at the pre-perturbation operating point
 /// (dispatch `dispatch_pre`).
-///
-/// # Errors
-///
-/// Propagates model-construction failures.
-pub fn build_attack_set(
-    net: &Network,
-    x_pre: &[f64],
-    dispatch_pre: &[f64],
-    cfg: &MtdConfig,
-) -> Result<Vec<FdiAttack>, MtdError> {
-    let h_pre = net.measurement_matrix(x_pre)?;
-    build_attack_set_with_h(net, &h_pre, x_pre, dispatch_pre, cfg)
-}
-
-/// [`build_attack_set`] with a precomputed `H(x_pre)` — the timeline
-/// loop already holds the stale matrix and must not rebuild it each
-/// hour.
 ///
 /// # Errors
 ///
@@ -212,75 +172,9 @@ pub fn detection_probabilities_parallel(
     Ok(out)
 }
 
-/// Evaluates an MTD perturbation `x_pre → x_post` against a prebuilt
-/// attack ensemble (fast path for threshold sweeps that reuse the
-/// ensemble).
-///
-/// # Errors
-///
-/// Propagates model-construction failures.
-pub fn evaluate_with_attacks(
-    net: &Network,
-    x_pre: &[f64],
-    x_post: &[f64],
-    attacks: &[FdiAttack],
-    cfg: &MtdConfig,
-) -> Result<MtdEvaluation, MtdError> {
-    let h_pre = net.measurement_matrix(x_pre)?;
-    evaluate_with_attacks_h(net, &h_pre, x_post, attacks, cfg)
-}
-
-/// [`evaluate_with_attacks`] with a precomputed `H(x_pre)`; builds the
-/// post-perturbation matrix exactly once (angle metric and detector
-/// share it) and reads both angles off one eigensolve against a one-off
-/// basis of `H(x_pre)`, bit-identical to [`crate::MtdSession::evaluate`].
-///
-/// # Errors
-///
-/// Propagates model-construction failures.
-pub fn evaluate_with_attacks_h(
-    net: &Network,
-    h_pre: &Matrix,
-    x_post: &[f64],
-    attacks: &[FdiAttack],
-    cfg: &MtdConfig,
-) -> Result<MtdEvaluation, MtdError> {
-    let h_post = net.measurement_matrix(x_post)?;
-    let (smallest_angle, gamma) = OrthonormalBasis::new(h_pre)?.extreme_angles_to(&h_post)?;
-    let bdd = detector_from_h(h_post, cfg)?;
-    let detection_probs = detection_probabilities_parallel(&bdd, attacks)?;
-    Ok(MtdEvaluation {
-        gamma,
-        smallest_angle,
-        detection_probs,
-    })
-}
-
-/// One-shot evaluation: builds the attack ensemble from the
-/// pre-perturbation OPF dispatch, then scores the perturbation.
-///
-/// # Errors
-///
-/// Propagates OPF and model failures.
-pub fn evaluate_mtd(
-    net: &Network,
-    x_pre: &[f64],
-    x_post: &[f64],
-    cfg: &MtdConfig,
-) -> Result<MtdEvaluation, MtdError> {
-    // Thin compatibility wrapper over the session (which caches the
-    // pre-perturbation OPF and the ensemble it scales); bit-identical
-    // to the historical solve-build-evaluate sequence.
-    crate::MtdSession::builder(net.clone())
-        .config(cfg.clone())
-        .x_pre(x_pre.to_vec())
-        .build()?
-        .evaluate(x_post)
-}
-
 /// Monte-Carlo cross-check of the analytic detection probability for one
-/// attack (the paper's 1000-noise-draw procedure): used by the ablation
-/// experiment to validate the closed form.
+/// attack (the paper's 1000-noise-draw procedure): the test reference
+/// that validates the closed form.
 ///
 /// Trials fan out across worker threads; trial `t` draws its noise from
 /// a dedicated stream derived by [`crate::seedstream::mix`]`(base, t)`,
@@ -298,7 +192,11 @@ pub fn monte_carlo_detection(
     trials: usize,
     cfg: &MtdConfig,
 ) -> Result<f64, MtdError> {
-    let bdd = post_mtd_detector(net, x_post, cfg)?;
+    let bdd = detector_from_h_ctx(
+        net.measurement_matrix(x_post)?,
+        cfg,
+        &mut EstimatorContext::new(),
+    )?;
     let pf = dcpf::solve_dispatch(net, x_post, dispatch_post)?;
     let z_true = pf.measurement_vector();
     let noise = NoiseModel::uniform(z_true.len(), cfg.noise_sigma_mw);
@@ -317,15 +215,23 @@ pub fn monte_carlo_detection(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MtdSession;
     use gridmtd_powergrid::cases;
 
-    fn mixed_perturbation(net: &Network, eta: f64) -> (Vec<f64>, Vec<f64>) {
-        let x_pre = net.nominal_reactances();
-        let mut x_post = x_pre.clone();
+    fn session(net: &Network, cfg: &MtdConfig) -> MtdSession {
+        MtdSession::builder(net.clone())
+            .config(cfg.clone())
+            .build()
+            .unwrap()
+    }
+
+    /// A sign-mixed `±eta` perturbation of the nominal reactances.
+    fn mixed_perturbation(net: &Network, eta: f64) -> Vec<f64> {
+        let mut x_post = net.nominal_reactances();
         for (k, l) in net.dfacts_branches().into_iter().enumerate() {
             x_post[l] *= if k % 2 == 0 { 1.0 + eta } else { 1.0 - eta };
         }
-        (x_pre, x_post)
+        x_post
     }
 
     #[test]
@@ -333,7 +239,7 @@ mod tests {
         let net = cases::case14();
         let cfg = MtdConfig::fast_test();
         let x = net.nominal_reactances();
-        let eval = evaluate_mtd(&net, &x, &x, &cfg).unwrap();
+        let eval = session(&net, &cfg).evaluate(&x).unwrap();
         assert!(eval.gamma < 1e-6);
         // Every attack stays stealthy: PD = alpha.
         for &pd in &eval.detection_probs {
@@ -346,17 +252,18 @@ mod tests {
     fn effectiveness_increases_with_gamma() {
         let net = cases::case14();
         // σ chosen so the strongest fixed perturbation detects most
-        // attacks (the paper-scale calibration lives in the bench
-        // binaries).
+        // attacks (the paper-scale calibration lives in the checked-in
+        // scenarios).
         let cfg = MtdConfig {
             noise_sigma_mw: 0.15,
             ..MtdConfig::fast_test()
         };
+        let s = session(&net, &cfg);
         let mut prev_eta = -1.0;
         let mut prev_gamma = -1.0;
         for eta in [0.15, 0.3, 0.5] {
-            let (x_pre, x_post) = mixed_perturbation(&net, eta);
-            let eval = evaluate_mtd(&net, &x_pre, &x_post, &cfg).unwrap();
+            let x_post = mixed_perturbation(&net, eta);
+            let eval = s.evaluate(&x_post).unwrap();
             assert!(eval.gamma > prev_gamma);
             let e = eval.effectiveness(0.5);
             assert!(
@@ -376,8 +283,8 @@ mod tests {
     fn effectiveness_is_monotone_in_delta() {
         let net = cases::case14();
         let cfg = MtdConfig::fast_test();
-        let (x_pre, x_post) = mixed_perturbation(&net, 0.4);
-        let eval = evaluate_mtd(&net, &x_pre, &x_post, &cfg).unwrap();
+        let x_post = mixed_perturbation(&net, 0.4);
+        let eval = session(&net, &cfg).evaluate(&x_post).unwrap();
         let mut prev = 1.0;
         for delta in [0.1, 0.3, 0.5, 0.7, 0.9, 0.99] {
             let e = eval.effectiveness(delta);
@@ -390,12 +297,11 @@ mod tests {
     fn analytic_matches_monte_carlo_on_one_attack() {
         let net = cases::case14();
         let cfg = MtdConfig::fast_test();
-        let (x_pre, x_post) = mixed_perturbation(&net, 0.35);
-        let opf_pre = gridmtd_opf::solve_opf(&net, &x_pre, &cfg.opf_options()).unwrap();
-        let attacks = build_attack_set(&net, &x_pre, &opf_pre.dispatch, &cfg).unwrap();
-        let bdd = post_mtd_detector(&net, &x_post, &cfg).unwrap();
+        let x_post = mixed_perturbation(&net, 0.35);
+        let s = session(&net, &cfg);
+        let attacks = s.attacks().unwrap();
         // pick an attack with mid-range PD so the comparison is informative
-        let probs = gridmtd_attack::detection_probabilities(&bdd, &attacks).unwrap();
+        let probs = s.detection_probabilities(&x_post).unwrap();
         let idx = midpoint_attack_index(&probs).unwrap();
         let opf_post = gridmtd_opf::solve_opf(&net, &x_post, &cfg.opf_options()).unwrap();
         let mc =
@@ -412,16 +318,14 @@ mod tests {
     fn attack_set_is_deterministic_per_seed() {
         let net = cases::case14();
         let cfg = MtdConfig::fast_test();
-        let x = net.nominal_reactances();
-        let opf = gridmtd_opf::solve_opf(&net, &x, &cfg.opf_options()).unwrap();
-        let a = build_attack_set(&net, &x, &opf.dispatch, &cfg).unwrap();
-        let b = build_attack_set(&net, &x, &opf.dispatch, &cfg).unwrap();
+        let a = session(&net, &cfg).attacks().unwrap().to_vec();
+        let b = session(&net, &cfg).attacks().unwrap().to_vec();
         assert_eq!(a, b);
         let cfg2 = MtdConfig {
             seed: 99,
             ..MtdConfig::fast_test()
         };
-        let c = build_attack_set(&net, &x, &opf.dispatch, &cfg2).unwrap();
+        let c = session(&net, &cfg2).attacks().unwrap().to_vec();
         assert_ne!(a, c);
     }
 
@@ -453,9 +357,9 @@ mod tests {
         // count is a pure function of the trial seeds).
         let net = cases::case14();
         let cfg = MtdConfig::fast_test();
-        let (x_pre, x_post) = mixed_perturbation(&net, 0.35);
-        let opf_pre = gridmtd_opf::solve_opf(&net, &x_pre, &cfg.opf_options()).unwrap();
-        let attacks = build_attack_set(&net, &x_pre, &opf_pre.dispatch, &cfg).unwrap();
+        let x_post = mixed_perturbation(&net, 0.35);
+        let s = session(&net, &cfg);
+        let attacks = s.attacks().unwrap();
         let opf_post = gridmtd_opf::solve_opf(&net, &x_post, &cfg.opf_options()).unwrap();
         let a = monte_carlo_detection(&net, &x_post, &opf_post.dispatch, &attacks[0], 400, &cfg)
             .unwrap();

@@ -27,7 +27,7 @@ use gridmtd_powergrid::{dcpf, Network};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::{session, MtdConfig, MtdError, MtdSession};
+use crate::{session, MtdConfig, MtdError};
 
 /// Parameters of the attacker-relearning study.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,13 +72,17 @@ pub struct LearningPoint {
     pub stealthy_fraction: f64,
 }
 
-/// Runs the relearning study in the post-perturbation world `x_post`.
+/// Runs the relearning study in the post-perturbation world `x_post`
+/// (behind [`crate::MtdSession::learning_study`]).
 ///
 /// Snapshot `k` jitters every bus load by `±load_jitter` and splits the
 /// dispatch across generators with random weights (maximum information
 /// diversity, the premise of the paper's reference \[17\]), solves the
 /// power flow and corrupts the measurements with the configured sensor
-/// noise. All randomness derives from `cfg.seed`.
+/// noise. All randomness derives from `cfg.seed`. The snapshot solves
+/// run through a clone of the session's power-flow prototype and the
+/// detector build through its shared gain-symbolic cache, both
+/// bit-identical to fresh contexts.
 ///
 /// # Errors
 ///
@@ -90,24 +94,6 @@ pub struct LearningPoint {
 ///
 /// Panics if `sample_counts` is empty, `n_probe_attacks` is zero, or
 /// `load_jitter` is outside `(0, 1)`.
-pub fn attacker_learning_study(
-    net: &Network,
-    x_post: &[f64],
-    opts: &LearningOptions,
-    cfg: &MtdConfig,
-) -> Result<Vec<LearningPoint>, MtdError> {
-    // Thin compatibility wrapper over the session-owned implementation
-    // (bit-identical; the session just adds shareable warm contexts).
-    MtdSession::builder(net.clone())
-        .config(cfg.clone())
-        .build()?
-        .learning_study(x_post, opts)
-}
-
-/// The study body, parameterized over the session's warm contexts: a
-/// power-flow prototype for the snapshot solves (numeric-only
-/// refactorizations on the sparse path) and the shared gain-symbolic
-/// cache for the detector build. Bit-identical to fresh contexts.
 pub(crate) fn attacker_learning_study_impl(
     net: &Network,
     x_post: &[f64],
@@ -209,7 +195,20 @@ pub(crate) fn attacker_learning_study_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MtdSession;
     use gridmtd_powergrid::cases;
+
+    fn study(
+        net: &Network,
+        x_post: &[f64],
+        opts: &LearningOptions,
+        cfg: &MtdConfig,
+    ) -> Result<Vec<LearningPoint>, MtdError> {
+        MtdSession::builder(net.clone())
+            .config(cfg.clone())
+            .build()?
+            .learning_study(x_post, opts)
+    }
 
     fn tiny_cfg() -> MtdConfig {
         MtdConfig {
@@ -229,7 +228,7 @@ mod tests {
             n_probe_attacks: 30,
             ..LearningOptions::default()
         };
-        let points = attacker_learning_study(&net, &x, &opts, &cfg).unwrap();
+        let points = study(&net, &x, &opts, &cfg).unwrap();
         assert_eq!(points.len(), 2);
         assert_eq!(points[0].n_samples, 16);
         assert_eq!(points[1].n_samples, 400);
@@ -256,8 +255,8 @@ mod tests {
             n_probe_attacks: 10,
             ..LearningOptions::default()
         };
-        let a = attacker_learning_study(&net, &x, &opts, &cfg).unwrap();
-        let b = attacker_learning_study(&net, &x, &opts, &cfg).unwrap();
+        let a = study(&net, &x, &opts, &cfg).unwrap();
+        let b = study(&net, &x, &opts, &cfg).unwrap();
         assert_eq!(a, b);
     }
 
@@ -273,7 +272,7 @@ mod tests {
             n_probe_attacks: 5,
             ..LearningOptions::default()
         };
-        let err = attacker_learning_study(&net, &x, &opts, &cfg).unwrap_err();
+        let err = study(&net, &x, &opts, &cfg).unwrap_err();
         assert_eq!(err, MtdError::Infeasible);
     }
 
@@ -285,6 +284,6 @@ mod tests {
             sample_counts: vec![],
             ..LearningOptions::default()
         };
-        let _ = attacker_learning_study(&net, &net.nominal_reactances(), &opts, &tiny_cfg());
+        let _ = study(&net, &net.nominal_reactances(), &opts, &tiny_cfg());
     }
 }

@@ -26,14 +26,13 @@
 //! 7. [`learning`] — the attacker-relearning timeline behind the
 //!    reconfiguration-period argument (Section IV-A).
 //!
-//! The stateful [`session`] layer ties the pipeline together:
-//! [`MtdSession`] owns every warm cache (measurement matrices, QR
-//! bases, symbolic factorizations, attack ensembles, baselines) and
-//! exposes the whole pipeline as methods, with a typed batch layer
-//! ([`session::batch`]) for sweep drivers. The historical free-function
-//! entry points ([`tradeoff_sweep`], [`random_keyspace_study`],
-//! [`simulate_day`], [`attacker_learning_study`]) remain as thin,
-//! bit-identical wrappers that build a throwaway session; the
+//! The stateful [`session`] layer is the one entry point to that
+//! pipeline: [`MtdSession`] owns every warm cache (measurement
+//! matrices, QR bases, symbolic factorizations, attack ensembles,
+//! baselines) and exposes selection, evaluation, the sweeps, the
+//! relearning study and the hourly day as methods, with a typed batch
+//! layer ([`session::batch`]) for sweep drivers. The modules above hold
+//! the algorithms and result types the session runs; the
 //! `gridmtd-scenario` crate drives the session from declarative TOML
 //! specs.
 //!
@@ -83,10 +82,8 @@ pub mod tradeoff;
 pub use config::{MtdConfig, OpfOptionsSerde};
 pub use effectiveness::MtdEvaluation;
 pub use error::MtdError;
-pub use learning::{attacker_learning_study, LearningOptions, LearningPoint};
+pub use learning::{LearningOptions, LearningPoint};
 pub use selection::{spread_pre_perturbation, MtdSelection};
 pub use session::{BaselineOutcome, LearningOutcome, MtdSession, MtdSessionBuilder};
-pub use timeline::{simulate_day, HourOutcome, TimelineOptions};
-pub use tradeoff::{
-    random_keyspace_study, tradeoff_sweep, RandomTrial, TradeoffCurve, TradeoffPoint,
-};
+pub use timeline::{HourOutcome, TimelineOptions};
+pub use tradeoff::{RandomTrial, TradeoffCurve, TradeoffPoint};

@@ -6,10 +6,10 @@
 //!    papers the authors compare against ([11–13]): pick random reactance
 //!    perturbations within a small percentage of the current values. The
 //!    paper's Figs. 7–8 show this cannot guarantee effectiveness.
-//! 2. [`max_achievable_gamma`] — maximize the subspace angle
-//!    `γ(H, H')` irrespective of cost, to find the feasible range of
-//!    `γ_th` (used to bound the tradeoff sweep).
-//! 3. [`select_mtd`] — the paper's problem (4): minimize OPF cost
+//! 2. the γ ceiling ([`crate::MtdSession::max_gamma`]) — maximize the
+//!    subspace angle `γ(H, H')` irrespective of cost, to find the
+//!    feasible range of `γ_th` (used to bound the tradeoff sweep).
+//! 3. problem (4) ([`crate::MtdSession::select`]) — minimize OPF cost
 //!    subject to `γ(H_t, H'(x')) ≥ γ_th` and the DC-OPF constraints,
 //!    with an adaptive exterior penalty on the angle constraint.
 //!
@@ -135,28 +135,11 @@ fn sin_sq_gradient(
         .collect()
 }
 
-/// Maximizes `γ(H(x_pre), H(x))` over the D-FACTS box, ignoring cost.
-///
-/// Returns the maximizing reactance vector and the achieved angle — the
-/// feasibility ceiling for any `γ_th` passed to [`select_mtd`].
-///
-/// # Errors
-///
-/// Propagates model failures.
-pub fn max_achievable_gamma(
-    net: &Network,
-    x_pre: &[f64],
-    cfg: &MtdConfig,
-) -> Result<(Vec<f64>, f64), MtdError> {
-    let h_pre = net.measurement_matrix(x_pre)?;
-    let gamma_basis = spa::GammaBasis::new(&h_pre)?;
-    max_achievable_gamma_with(net, x_pre, &gamma_basis, cfg)
-}
-
-/// [`max_achievable_gamma`] with a precomputed QR basis of `H(x_pre)` —
-/// the hoisted path for callers (the session, the tradeoff sweep) that
-/// already hold the basis. The basis is a pure function of `H(x_pre)`,
-/// so the result is bit-identical to the self-contained variant.
+/// Maximizes `γ(H(x_pre), H(x))` over the D-FACTS box, ignoring cost,
+/// against the cached QR basis of `H(x_pre)` (behind
+/// [`crate::MtdSession::max_gamma`]). Returns the maximizing reactance
+/// vector and the achieved angle — the feasibility ceiling for any
+/// `γ_th` of problem (4).
 ///
 /// The search is multistart projected L-BFGS on `−sin²γ` with the same
 /// differentiable state, stamps and start-0 nudge as the problem-(4)
@@ -166,22 +149,14 @@ pub fn max_achievable_gamma(
 ///
 /// # Errors
 ///
-/// [`MtdError::InvalidConfig`] if `cfg.eta_max` lies outside `(0, 1)`
-/// (the reactance box would be inverted or admit non-positive
-/// reactances); otherwise propagates model failures — including the
-/// eigensolver's, when no evaluation of the search succeeded.
-pub fn max_achievable_gamma_with(
+/// Propagates model failures — including the eigensolver's, when no
+/// evaluation of the search succeeded.
+pub(crate) fn max_achievable_gamma_with(
     net: &Network,
     x_pre: &[f64],
     gamma_basis: &spa::GammaBasis,
     cfg: &MtdConfig,
 ) -> Result<(Vec<f64>, f64), MtdError> {
-    if !(cfg.eta_max > 0.0 && cfg.eta_max < 1.0) {
-        return Err(MtdError::InvalidConfig {
-            field: "eta_max",
-            value: cfg.eta_max,
-        });
-    }
     let (dfacts, lo, hi) = dfacts_box(net, cfg.eta_max);
     let x_nominal = net.nominal_reactances();
     let x0 = nudged_start(x_pre, &dfacts, &lo, &hi, cfg.eta_max);
@@ -229,7 +204,59 @@ pub fn max_achievable_gamma_with(
     Ok((x, gamma))
 }
 
-/// Solves the SPA-constrained OPF of problem (4):
+/// The OPF at `x_pre` together with the context that solved it,
+/// reusable across selections against the same network, reactances and
+/// OPF options.
+///
+/// Its cost is the penalty scale of the selection objective; its
+/// post-solve [`OpfContext`] carries the shared power-flow symbolic
+/// factorization *plus* the working set of line limits and the simplex
+/// basis the solve found. The session caches one per `x_pre`, so its
+/// pre-perturbation OPF and every warm `select` share the one cold LP
+/// solve.
+#[derive(Debug, Clone)]
+pub(crate) struct BaselineState {
+    ctx: OpfContext,
+    opf: OpfSolution,
+}
+
+impl BaselineState {
+    /// The OPF at `x_pre`.
+    pub(crate) fn opf(&self) -> &OpfSolution {
+        &self.opf
+    }
+}
+
+/// Solves the OPF at `x_pre` and captures the warmed context for
+/// [`select_mtd_seeded`].
+///
+/// # Errors
+///
+/// Propagates OPF failures as [`MtdError::Opf`]; selection callers map
+/// infeasibility through [`infeasible_baseline`].
+pub(crate) fn prepare_baseline(
+    net: &Network,
+    x_pre: &[f64],
+    cfg: &MtdConfig,
+    pf_proto: &PfContext,
+) -> Result<BaselineState, MtdError> {
+    let mut ctx = OpfContext::with_pf(pf_proto.clone());
+    let opf = solve_opf_with(net, x_pre, &cfg.opf_options(), &mut ctx)?;
+    Ok(BaselineState { ctx, opf })
+}
+
+/// Selection reports an infeasible unperturbed OPF as
+/// [`MtdError::Infeasible`] (no feasible MTD perturbation) rather than
+/// as the OPF's own error.
+pub(crate) fn infeasible_baseline(e: MtdError) -> MtdError {
+    match e {
+        MtdError::Opf(OpfError::Infeasible) => MtdError::Infeasible,
+        e => e,
+    }
+}
+
+/// Solves the SPA-constrained OPF of problem (4) (behind
+/// [`crate::MtdSession::select`]):
 ///
 /// ```text
 /// min_{g', x'}  Σ Cᵢ(G'ᵢ)
@@ -240,112 +267,20 @@ pub fn max_achievable_gamma_with(
 ///
 /// The inner dispatch problem is an exact LP; the outer nonconvex search
 /// over `x'` is multistart projected L-BFGS with an adaptive exterior
-/// penalty on the angle constraint.
+/// penalty on the angle constraint. Every OPF context inside (one per
+/// multistart start, plus the audit solves) starts from a *clone* of
+/// `baseline`'s warmed context, so one symbolic factorization serves
+/// the whole search and the baseline's simplex basis warm-starts every
+/// start's first LP; repeated selections with the same inputs stay
+/// bit-identical.
 ///
 /// # Errors
 ///
 /// * [`MtdError::ThresholdUnreachable`] if the penalty rounds find no
 ///   perturbation within the D-FACTS limits that attains `γ_th`; its
-///   `achieved` field is [`max_achievable_gamma`] on the same inputs.
-/// * [`MtdError::Infeasible`] if the OPF is infeasible for every
-///   candidate.
-pub fn select_mtd(
-    net: &Network,
-    x_pre: &[f64],
-    gamma_th: f64,
-    cfg: &MtdConfig,
-) -> Result<MtdSelection, MtdError> {
-    let gamma_basis = spa::GammaBasis::new(&net.measurement_matrix(x_pre)?)?;
-    select_mtd_with(net, x_pre, &gamma_basis, gamma_th, cfg)
-}
-
-/// [`select_mtd`] with a precomputed QR basis of the pre-perturbation
-/// matrix.
-///
-/// The timeline tuner evaluates several `γ_th` candidates against the
-/// *same* `H(x_pre)` each hour; hoisting the matrix build and the QR
-/// factorization out of the candidate loop removes the dominant
-/// per-candidate setup cost without changing a single float (the basis
-/// is a pure function of `H(x_pre)`).
-///
-/// # Errors
-///
-/// See [`select_mtd`].
-pub fn select_mtd_with(
-    net: &Network,
-    x_pre: &[f64],
-    gamma_basis: &spa::GammaBasis,
-    gamma_th: f64,
-    cfg: &MtdConfig,
-) -> Result<MtdSelection, MtdError> {
-    select_mtd_impl(net, x_pre, gamma_basis, gamma_th, cfg, &PfContext::new())
-}
-
-/// [`select_mtd_with`] additionally seeded with a power-flow context
-/// prototype: every OPF context created inside (one per multistart
-/// start, plus the pricing and audit solves) starts from a *clone* of
-/// one internal [`OpfContext`] built around `pf_proto`, so a primed
-/// prototype (see [`gridmtd_powergrid::dcpf::PfContext::prime`]) shares
-/// one symbolic factorization across the whole search and the baseline
-/// solve's simplex basis warm-starts every start's first LP. The
-/// prototype is rebuilt from `pf_proto` identically on every call, so
-/// repeated selections with the same inputs remain bit-identical
-/// regardless of how warm the supplied `pf_proto` is.
-pub(crate) fn select_mtd_impl(
-    net: &Network,
-    x_pre: &[f64],
-    gamma_basis: &spa::GammaBasis,
-    gamma_th: f64,
-    cfg: &MtdConfig,
-    pf_proto: &PfContext,
-) -> Result<MtdSelection, MtdError> {
-    let baseline = prepare_baseline(net, x_pre, cfg, pf_proto)?;
-    select_mtd_seeded(net, x_pre, gamma_basis, gamma_th, cfg, &baseline)
-}
-
-/// Baseline OPF state at `x_pre`, reusable across selections against the
-/// same network, reactances and OPF options.
-///
-/// Carries the unperturbed cost (the penalty scale of the selection
-/// objective) together with the post-solve [`OpfContext`] — the shared
-/// power-flow symbolic factorization *plus* the working set of line
-/// limits and the simplex basis the baseline solve found.
-/// [`prepare_baseline`] performs exactly the arithmetic
-/// `select_mtd_impl` would, so a selection seeded with a cached baseline
-/// is bit-identical to one that recomputes it — the session can
-/// therefore hoist the one cold OPF solve out of every warm `select`
-/// call.
-#[derive(Debug, Clone)]
-pub(crate) struct BaselineState {
-    ctx: OpfContext,
-    cost: f64,
-}
-
-/// Solves the baseline OPF at `x_pre` and captures the warmed context
-/// for [`select_mtd_seeded`].
-///
-/// # Errors
-///
-/// [`MtdError::Infeasible`] if the unperturbed OPF has no feasible
-/// dispatch; otherwise propagates solver failures.
-pub(crate) fn prepare_baseline(
-    net: &Network,
-    x_pre: &[f64],
-    cfg: &MtdConfig,
-    pf_proto: &PfContext,
-) -> Result<BaselineState, MtdError> {
-    let mut ctx = OpfContext::with_pf(pf_proto.clone());
-    let cost = match solve_opf_with(net, x_pre, &cfg.opf_options(), &mut ctx) {
-        Ok(s) => s.cost,
-        Err(OpfError::Infeasible) => return Err(MtdError::Infeasible),
-        Err(e) => return Err(e.into()),
-    };
-    Ok(BaselineState { ctx, cost })
-}
-
-/// [`select_mtd_impl`] with the baseline solve already done: the search
-/// starts from a clone of `baseline`'s warmed context and its cached
-/// cost scale.
+///   `achieved` field is [`max_achievable_gamma_with`] on the same
+///   inputs.
+/// * Propagates model failures.
 pub(crate) fn select_mtd_seeded(
     net: &Network,
     x_pre: &[f64],
@@ -354,12 +289,6 @@ pub(crate) fn select_mtd_seeded(
     cfg: &MtdConfig,
     baseline: &BaselineState,
 ) -> Result<MtdSelection, MtdError> {
-    if !(cfg.eta_max > 0.0 && cfg.eta_max < 1.0) {
-        return Err(MtdError::InvalidConfig {
-            field: "eta_max",
-            value: cfg.eta_max,
-        });
-    }
     let search = SearchSetup::build(net, x_pre, cfg, baseline);
     if let Some(sel) = run_gradient(&search, gamma_basis, gamma_th)? {
         return Ok(sel);
@@ -411,7 +340,7 @@ impl<'a> SearchSetup<'a> {
             hi,
             x_nominal: net.nominal_reactances(),
             opf_opts: cfg.opf_options(),
-            base_cost: baseline.cost,
+            base_cost: baseline.opf.cost,
         }
     }
 
@@ -578,8 +507,10 @@ pub fn baseline_opf(
     baseline_opf_impl(net, x_start, cfg, &PfContext::new())
 }
 
-/// [`baseline_opf`] seeded with a power-flow context prototype (see
-/// [`select_mtd_impl`] for the cloning/bit-identity contract).
+/// [`baseline_opf`] seeded with a power-flow context prototype: the
+/// search solves through one clone of `pf_proto`, so a primed prototype
+/// shares its symbolic factorization, and the result is bit-identical
+/// however warm the prototype is.
 pub(crate) fn baseline_opf_impl(
     net: &Network,
     x_start: &[f64],
@@ -684,9 +615,17 @@ pub fn spread_pre_perturbation(net: &Network, eta_max: f64) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MtdSession;
     use gridmtd_powergrid::cases;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    fn session(net: Network, cfg: &MtdConfig) -> MtdSession {
+        MtdSession::builder(net)
+            .config(cfg.clone())
+            .build()
+            .unwrap()
+    }
 
     #[test]
     fn random_perturbation_touches_only_dfacts_lines() {
@@ -708,8 +647,7 @@ mod tests {
     fn max_gamma_is_substantial_for_case14() {
         let net = cases::case14();
         let cfg = MtdConfig::fast_test();
-        let x0 = net.nominal_reactances();
-        let (x, g) = max_achievable_gamma(&net, &x0, &cfg).unwrap();
+        let (x, g) = session(net.clone(), &cfg).max_gamma().unwrap().clone();
         // From the nominal point the box-corner ceiling is ≈ 0.259 rad;
         // the paper's full [0, 0.45] range arises when the
         // pre-perturbation reactances themselves sit inside the D-FACTS
@@ -726,8 +664,8 @@ mod tests {
     fn select_mtd_meets_threshold_with_bounded_cost() {
         let net = cases::case14();
         let cfg = MtdConfig::fast_test();
-        let x0 = net.nominal_reactances();
-        let sel = select_mtd(&net, &x0, 0.15, &cfg).unwrap();
+        let s = session(net, &cfg);
+        let sel = s.select(0.15).unwrap();
         assert!(sel.gamma >= 0.15 - 1e-3, "gamma {}", sel.gamma);
         assert_eq!(sel.gamma_threshold, 0.15);
         // Cost can only grow relative to the γ_th = 0 relaxation solved
@@ -736,7 +674,7 @@ mod tests {
         // valid lower bounds).
         // Both runs are heuristic multistart searches, so allow a small
         // basin-to-basin tolerance.
-        let relaxed = select_mtd(&net, &x0, 0.0, &cfg).unwrap();
+        let relaxed = s.select(0.0).unwrap();
         assert!(
             sel.opf.cost >= relaxed.opf.cost * 0.99 - 1e-6,
             "{} vs {}",
@@ -752,8 +690,12 @@ mod tests {
         // the attainable angle matches the paper's ≈ 0.45 rad ceiling.
         let net = cases::case14();
         let cfg = MtdConfig::fast_test();
-        let x_pre = spread_pre_perturbation(&net, cfg.eta_max);
-        let (_, g) = max_achievable_gamma(&net, &x_pre, &cfg).unwrap();
+        let s = MtdSession::builder(net)
+            .config(cfg)
+            .spread_x_pre()
+            .build()
+            .unwrap();
+        let &(_, g) = s.max_gamma().unwrap();
         assert!(g > 0.4, "corner-based ceiling {g}");
     }
 
@@ -762,7 +704,7 @@ mod tests {
         let net = cases::case14();
         let cfg = MtdConfig::fast_test();
         let x0 = net.nominal_reactances();
-        let sel = select_mtd(&net, &x0, 0.0, &cfg).unwrap();
+        let sel = session(net.clone(), &cfg).select(0.0).unwrap();
         let base = gridmtd_opf::solve_opf(&net, &x0, &cfg.opf_options())
             .unwrap()
             .cost;
@@ -778,9 +720,9 @@ mod tests {
     fn unreachable_threshold_is_reported() {
         let net = cases::case14();
         let cfg = MtdConfig::fast_test();
-        let x0 = net.nominal_reactances();
-        let err = select_mtd(&net, &x0, 1.5, &cfg).unwrap_err();
-        let (_, ceiling) = max_achievable_gamma(&net, &x0, &cfg).unwrap();
+        let s = session(net, &cfg);
+        let err = s.select(1.5).unwrap_err();
+        let &(_, ceiling) = s.max_gamma().unwrap();
         match err {
             MtdError::ThresholdUnreachable {
                 requested,
@@ -842,18 +784,18 @@ mod tests {
 
     #[test]
     fn out_of_range_eta_max_is_a_typed_error() {
-        let net = cases::case4();
-        let x0 = net.nominal_reactances();
+        // The session validates the D-FACTS range once at build, before
+        // any search can invert the reactance box.
         for bad in [0.0, 1.0, -0.5, f64::NAN] {
             let cfg = MtdConfig {
                 eta_max: bad,
                 ..MtdConfig::fast_test()
             };
-            match max_achievable_gamma(&net, &x0, &cfg).unwrap_err() {
-                MtdError::InvalidConfig { field, .. } => assert_eq!(field, "eta_max"),
-                other => panic!("expected InvalidConfig, got {other:?}"),
-            }
-            match select_mtd(&net, &x0, 0.1, &cfg).unwrap_err() {
+            match MtdSession::builder(cases::case4())
+                .config(cfg)
+                .build()
+                .unwrap_err()
+            {
                 MtdError::InvalidConfig { field, .. } => assert_eq!(field, "eta_max"),
                 other => panic!("expected InvalidConfig, got {other:?}"),
             }

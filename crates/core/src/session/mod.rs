@@ -18,9 +18,8 @@
 //! * the pre-perturbation OPF, the attack ensemble crafted from it, the
 //!   no-MTD baseline and the achievable-γ ceiling.
 //!
-//! Historically each of those was hoisted ad hoc through `_with`
-//! function variants that every caller had to hand-thread in the right
-//! order. [`MtdSession`] owns them all: build one from a
+//! [`MtdSession`] owns them all and is the one entry point to the
+//! pipeline: build one from a
 //! [`Network`] + [`MtdConfig`] (validated up front), then drive the
 //! whole pipeline through methods — [`MtdSession::baseline`],
 //! [`MtdSession::select`], [`MtdSession::evaluate`],
@@ -37,10 +36,9 @@
 //! Every cache the session owns is either a pure function of its inputs
 //! (matrices, bases, ensembles) or pinned bit-identical to the cold path
 //! by the workspace's regression tests (primed power-flow contexts,
-//! shared symbolic factorizations). Session-routed results are therefore
-//! **byte-identical** to the historical free-function pipeline — the
-//! scenario goldens and `crates/core/tests/session_warm_state.rs` pin
-//! this.
+//! shared symbolic factorizations). A warm session's results are
+//! therefore **byte-identical** to a fresh session's — the scenario
+//! goldens and `crates/core/tests/session_warm_state.rs` pin this.
 //!
 //! # Example
 //!
@@ -127,13 +125,12 @@ struct TopoCaches {
 struct WarmCaches {
     h_pre: Arc<OnceLock<Matrix>>,
     basis: Arc<OnceLock<spa::GammaBasis>>,
-    opf_pre: Arc<OnceLock<OpfSolution>>,
+    /// The OPF at `x_pre` with the context that solved it: read by
+    /// [`MtdSession::opf_pre`], and its warmed simplex basis seeds every
+    /// [`MtdSession::select`], so repeated selections skip the one cold
+    /// LP solve.
+    opf_pre: Arc<OnceLock<selection::BaselineState>>,
     baseline: Arc<OnceLock<BaselineOutcome>>,
-    /// Baseline OPF state for [`MtdSession::select`]: the unperturbed
-    /// cost scale plus the warmed simplex basis, so repeated selections
-    /// skip the one cold LP solve. Independent of seed and attack
-    /// magnitude, hence shared with derived siblings.
-    sel_baseline: Arc<OnceLock<selection::BaselineState>>,
     attacks: OnceLock<Vec<FdiAttack>>,
     ceiling: OnceLock<(Vec<f64>, f64)>,
 }
@@ -198,16 +195,13 @@ impl MtdSessionBuilder {
     /// The cap is applied as a scoped [`parallel::with_thread_budget`]
     /// around every session entry point, and the budget follows the
     /// call tree into nested fan-outs, so an outer batch and an inner
-    /// multistart can never disagree. Unlike the process-wide
-    /// [`parallel::set_thread_override`] (which remains available as a
-    /// coarse fallback for single-workload processes, and which this
-    /// builder no longer touches), per-session budgets do not race:
+    /// multistart can never disagree. Per-session budgets do not race:
     /// two sessions built with different `threads(n)` run concurrently
     /// and each observes exactly its own cap. Precedence, highest
-    /// first: this per-session budget, the process-wide override, the
-    /// `GRIDMTD_THREADS` environment variable, the machine's
-    /// parallelism. Results are bit-identical for any worker count;
-    /// this is purely a resource control.
+    /// first: this per-session budget, the `GRIDMTD_THREADS`
+    /// environment variable, the machine's parallelism. Results are
+    /// bit-identical for any worker count; this is purely a resource
+    /// control.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> MtdSessionBuilder {
         self.threads = Some(threads.max(1));
@@ -422,6 +416,13 @@ impl MtdSession {
         })
     }
 
+    /// The cached OPF at `x_pre` together with its warmed context.
+    fn opf_pre_state(&self) -> Result<&selection::BaselineState, MtdError> {
+        get_or_try(&self.warm.opf_pre, || {
+            selection::prepare_baseline(&self.net, &self.x_pre, &self.cfg, self.pf_proto()?)
+        })
+    }
+
     /// The cached pre-perturbation OPF at `x_pre` (the operating point
     /// the attacker eavesdropped).
     ///
@@ -429,16 +430,7 @@ impl MtdSession {
     ///
     /// Propagates OPF failures.
     pub fn opf_pre(&self) -> Result<&OpfSolution, MtdError> {
-        self.scoped(|| {
-            get_or_try(&self.warm.opf_pre, || {
-                Ok(solve_opf_with(
-                    &self.net,
-                    &self.x_pre,
-                    &self.cfg.opf_options(),
-                    &mut OpfContext::with_pf(self.pf_proto()?.clone()),
-                )?)
-            })
-        })
+        self.scoped(|| self.opf_pre_state().map(selection::BaselineState::opf))
     }
 
     /// The cached attack ensemble: stealthy FDI attacks crafted against
@@ -533,16 +525,21 @@ impl MtdSession {
 
     /// Solves the SPA-constrained OPF of problem (4) for one threshold,
     /// through the cached `H(x_pre)`, its QR basis, the shared
-    /// power-flow symbolic state and the cached baseline simplex basis.
+    /// power-flow symbolic state and the simplex basis of the cached
+    /// OPF at `x_pre` (see [`selection`] for the search).
     ///
     /// # Errors
     ///
-    /// See [`selection::select_mtd`].
+    /// * [`MtdError::ThresholdUnreachable`] if no perturbation within
+    ///   the D-FACTS limits attains `gamma_threshold`; its `achieved`
+    ///   field is the γ ceiling of the same inputs.
+    /// * [`MtdError::Infeasible`] if the OPF at `x_pre` has no feasible
+    ///   dispatch; otherwise propagates model failures.
     pub fn select(&self, gamma_threshold: f64) -> Result<MtdSelection, MtdError> {
         self.scoped(|| {
-            let baseline = get_or_try(&self.warm.sel_baseline, || {
-                selection::prepare_baseline(&self.net, &self.x_pre, &self.cfg, self.pf_proto()?)
-            })?;
+            let baseline = self
+                .opf_pre_state()
+                .map_err(selection::infeasible_baseline)?;
             selection::select_mtd_seeded(
                 &self.net,
                 &self.x_pre,
@@ -623,10 +620,6 @@ impl MtdSession {
         gamma_thresholds: &[f64],
         deltas: &[f64],
     ) -> Result<TradeoffCurve, MtdError> {
-        // Cache-fill order mirrors the historical free function: the
-        // pre-perturbation OPF prices the ensemble, then ceiling, then
-        // baseline.
-        self.opf_pre()?;
         let attacks = self.attacks()?;
         let &(_, gamma_ceiling) = self.max_gamma()?;
         let baseline = self.baseline()?;
@@ -746,13 +739,22 @@ impl MtdSession {
     /// post-perturbation world `x_post`, through the session's warm
     /// power-flow and detector state.
     ///
+    /// Snapshot `k` jitters every bus load by `±load_jitter` and splits
+    /// the dispatch across generators with random weights, solves the
+    /// power flow and corrupts the measurements with the configured
+    /// sensor noise; all randomness derives from the configured seed
+    /// (see [`learning`]).
+    ///
     /// # Errors
     ///
-    /// See [`learning::attacker_learning_study`].
+    /// Propagates power-flow and estimation failures, and
+    /// [`MtdError::Infeasible`] if a checkpoint cannot craft probes (the
+    /// subspace dimension exceeds the snapshot count).
     ///
     /// # Panics
     ///
-    /// See [`learning::attacker_learning_study`].
+    /// Panics if `sample_counts` is empty, `n_probe_attacks` is zero, or
+    /// `load_jitter` is outside `(0, 1)`.
     pub fn learning_study(
         &self,
         x_post: &[f64],
@@ -780,7 +782,7 @@ impl MtdSession {
     ///
     /// # Panics
     ///
-    /// See [`learning::attacker_learning_study`].
+    /// See [`MtdSession::learning_study`].
     pub fn learning_flow(
         &self,
         gamma_threshold: Option<f64>,
@@ -932,12 +934,9 @@ impl MtdSession {
                 // The baseline OPF depends on the hour's loads but not
                 // on γ_th: solve it once and seed every candidate, so
                 // the grid pays one cold LP instead of one per point.
-                let sel_baseline = selection::prepare_baseline(
-                    &net_now,
-                    &self.x_pre,
-                    &self.cfg,
-                    self.pf_proto()?,
-                )?;
+                let sel_baseline =
+                    selection::prepare_baseline(&net_now, &self.x_pre, &self.cfg, self.pf_proto()?)
+                        .map_err(selection::infeasible_baseline)?;
                 'grid: for candidates in day.opts.gamma_grid.chunks(lookahead) {
                     let evaluations: Vec<Result<(MtdSelection, f64), MtdError>> =
                         parallel::par_map(candidates, |_, &gamma_th| {
@@ -1000,8 +999,10 @@ impl MtdSession {
         Ok(outcome)
     }
 
-    /// Runs a whole armed-and-stepped day in one call (see
-    /// [`crate::simulate_day`] for the free-function form).
+    /// Runs a whole armed-and-stepped day in one call: simulates one
+    /// hour of MTD operation per trace entry (24 for a daily trace)
+    /// against `self.network()`'s nominal loads, which the trace
+    /// rescales hour by hour.
     ///
     /// # Errors
     ///
@@ -1045,7 +1046,6 @@ impl MtdSession {
                 basis: Arc::clone(&self.warm.basis),
                 opf_pre: Arc::clone(&self.warm.opf_pre),
                 baseline: Arc::clone(&self.warm.baseline),
-                sel_baseline: Arc::clone(&self.warm.sel_baseline),
                 ..WarmCaches::default()
             },
             day: None,
@@ -1210,9 +1210,8 @@ mod tests {
     fn per_session_thread_budgets_do_not_race() {
         // Two sessions with different `threads(n)` caps, driven
         // concurrently, must produce bit-identical results to their
-        // serial selves and leave the process-global override untouched
-        // (the historical builder set the global, so the last builder
-        // won for both sessions).
+        // serial selves (each cap is scoped to its own session's call
+        // tree, so neither can leak into the other).
         let build = |threads: usize| {
             MtdSession::builder(cases::case14())
                 .config(MtdConfig {
@@ -1228,18 +1227,12 @@ mod tests {
         let reference = build(1).select(0.01).unwrap();
         let s1 = build(1);
         let s4 = build(4);
-        assert_eq!(
-            parallel::thread_override(),
-            None,
-            "builder must not touch the global"
-        );
         std::thread::scope(|scope| {
             let a = scope.spawn(|| s1.select(0.01).unwrap());
             let b = scope.spawn(|| s4.select(0.01).unwrap());
             assert_eq!(a.join().unwrap(), reference);
             assert_eq!(b.join().unwrap(), reference);
         });
-        assert_eq!(parallel::thread_override(), None);
     }
 
     #[test]

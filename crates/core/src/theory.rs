@@ -9,8 +9,8 @@
 //!
 //! For physically realizable reactance perturbations the orthogonality
 //! condition is generally unreachable (Section V-C) — these predicates
-//! exist so that tests and the ablation experiments can check the theory
-//! on synthetic matrices where it *is* reachable, and quantify how far
+//! exist so that the tests (`crates/core/tests/theorem1.rs`) can check
+//! the theory on matrices where it *is* reachable, and quantify how far
 //! realizable MTDs fall short.
 
 use gridmtd_linalg::{vector, Matrix, Svd};

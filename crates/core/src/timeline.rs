@@ -11,12 +11,14 @@
 //!    `η'(0.9) ≥ 0.9`), solving problem (4) per candidate;
 //! 4. records the operational-cost increase and the three subspace
 //!    angles plotted in Fig. 11.
+//!
+//! The hourly loop runs on the session ([`crate::MtdSession::begin_day`]
+//! / [`crate::MtdSession::step_hour`], or
+//! [`crate::MtdSession::simulate_day`] for a whole day), which owns the
+//! per-hour stale-matrix state. This module holds its option and result
+//! types.
 
-use gridmtd_powergrid::Network;
-use gridmtd_traces::LoadTrace;
 use serde::{Deserialize, Serialize};
-
-use crate::{MtdConfig, MtdError, MtdSession};
 
 /// Outcome of one simulated hour.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -69,42 +71,29 @@ impl Default for TimelineOptions {
     }
 }
 
-/// Simulates one hour of MTD operation per trace entry (24 for a daily
-/// trace; tests may pass shorter traces).
-///
-/// `net` carries the nominal (reference) loads which the trace rescales
-/// hour by hour.
-///
-/// # Errors
-///
-/// Propagates OPF/selection failures, and [`MtdError::Infeasible`] if
-/// even the smallest grid threshold is unreachable at some hour. Hours
-/// where the largest reachable `γ_th` misses the effectiveness target
-/// are reported with `target_met = false` rather than failing.
-pub fn simulate_day(
-    net: &Network,
-    trace: &LoadTrace,
-    opts: &TimelineOptions,
-    cfg: &MtdConfig,
-) -> Result<Vec<HourOutcome>, MtdError> {
-    // The hourly loop lives on the session ([`MtdSession::begin_day`] /
-    // [`MtdSession::step_hour`]), which owns the per-hour stale-matrix
-    // state this function used to rebuild by hand. Bit-identical to the
-    // historical in-place loop.
-    MtdSession::builder(net.clone())
-        .config(cfg.clone())
-        .build()?
-        .simulate_day(trace, opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gridmtd_powergrid::cases;
+    use crate::{MtdConfig, MtdSession};
+    use gridmtd_powergrid::{cases, Network};
     use gridmtd_traces::{nyiso_winter_weekday, LoadTrace};
 
+    fn run_day(
+        net: &Network,
+        trace: &LoadTrace,
+        opts: &TimelineOptions,
+        cfg: &MtdConfig,
+    ) -> Vec<HourOutcome> {
+        MtdSession::builder(net.clone())
+            .config(cfg.clone())
+            .build()
+            .unwrap()
+            .simulate_day(trace, opts)
+            .unwrap()
+    }
+
     /// Trimmed budgets so the debug-mode unit tests stay fast; the
-    /// paper-scale 24-hour run lives in the bench binaries.
+    /// paper-scale 24-hour run is `scenarios/timeline_case14.toml`.
     fn tiny_cfg() -> MtdConfig {
         MtdConfig {
             n_attacks: 60,
@@ -124,7 +113,7 @@ mod tests {
             gamma_grid: vec![0.05, 0.1],
             ..TimelineOptions::default()
         };
-        let outcomes = simulate_day(&net, &trace, &opts, &tiny_cfg()).unwrap();
+        let outcomes = run_day(&net, &trace, &opts, &tiny_cfg());
         assert_eq!(outcomes.len(), 4);
         for o in &outcomes {
             assert!((o.total_load_mw - trace.total_load_mw(o.hour)).abs() < 1e-6);
@@ -151,7 +140,7 @@ mod tests {
             noise_sigma_mw: 50.0,
             ..tiny_cfg()
         };
-        let outcomes = simulate_day(&net, &trace, &opts, &cfg).unwrap();
+        let outcomes = run_day(&net, &trace, &opts, &cfg);
         assert_eq!(outcomes.len(), 2);
         for o in &outcomes {
             assert!(!o.target_met);
@@ -160,7 +149,7 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "paper-scale run: use --ignored with --release (also see the fig10_11 bench binary)"]
+    #[ignore = "paper-scale run: use --ignored with --release (also see scenarios/timeline_case14.toml)"]
     fn full_day_ieee14() {
         let net = cases::case14();
         let trace = nyiso_winter_weekday();
@@ -172,7 +161,7 @@ mod tests {
             noise_sigma_mw: 0.15,
             ..MtdConfig::default()
         };
-        let outcomes = simulate_day(&net, &trace, &opts, &cfg).unwrap();
+        let outcomes = run_day(&net, &trace, &opts, &cfg);
         assert_eq!(outcomes.len(), 24);
         for o in &outcomes {
             assert!(o.gamma_drift < 0.05, "drift {}", o.gamma_drift);

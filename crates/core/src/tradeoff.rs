@@ -6,16 +6,14 @@
 //! values trace out the spectrum between "free but ineffective" and
 //! "effective but costly" (Section VI).
 //!
-//! The sweep logic lives on [`MtdSession`] (which owns the warm caches
-//! it runs on); the free functions here are compatibility wrappers that
-//! build a throwaway session, bit-identical to the historical
-//! implementations.
+//! The sweeps run on [`crate::MtdSession`], which owns the warm caches
+//! they share: [`crate::MtdSession::tradeoff_sweep`] (Figs. 6, 9) and
+//! [`crate::MtdSession::keyspace_study`] (the random keyspace of prior
+//! work, Figs. 7–8). This module holds their result types.
 
-use gridmtd_attack::FdiAttack;
-use gridmtd_powergrid::Network;
 use serde::{Deserialize, Serialize};
 
-use crate::{MtdConfig, MtdError, MtdEvaluation, MtdSession};
+use crate::MtdEvaluation;
 
 /// Looks up `η'(δ)` in a swept `(δ, η'(δ))` grid — the one shared
 /// implementation behind [`TradeoffPoint::eta`] and
@@ -64,58 +62,6 @@ pub struct TradeoffCurve {
     pub baseline_cost: f64,
 }
 
-/// Sweeps the tradeoff curve for a network at its current loads.
-///
-/// `x_pre` is the pre-perturbation reactance vector (the attacker's
-/// knowledge); the attack ensemble is generated once from it and reused
-/// across thresholds so points are directly comparable.
-///
-/// # Errors
-///
-/// Propagates selection/OPF failures. Thresholds above the achievable
-/// ceiling are skipped, not errors.
-pub fn tradeoff_sweep(
-    net: &Network,
-    x_pre: &[f64],
-    gamma_thresholds: &[f64],
-    deltas: &[f64],
-    cfg: &MtdConfig,
-) -> Result<TradeoffCurve, MtdError> {
-    MtdSession::builder(net.clone())
-        .config(cfg.clone())
-        .x_pre(x_pre.to_vec())
-        .build()?
-        .tradeoff_sweep(gamma_thresholds, deltas)
-}
-
-/// Scores `n_trials` random baseline perturbations (the keyspace of
-/// [11–12]) against the same ensemble, returning each trial's `η'(δ)`
-/// curve — the data behind Figs. 7 and 8.
-///
-/// Trials fan out across worker threads; trial `t` draws its random
-/// perturbation from a stream seeded `(seed + 0xfeed) ⊕ t`, so the study
-/// is a pure function of its arguments regardless of the worker count
-/// (and of any future change to `n_trials`, for the shared prefix).
-///
-/// # Errors
-///
-/// Propagates model failures.
-pub fn random_keyspace_study(
-    net: &Network,
-    x_pre: &[f64],
-    attacks: &[FdiAttack],
-    fraction: f64,
-    n_trials: usize,
-    deltas: &[f64],
-    cfg: &MtdConfig,
-) -> Result<Vec<RandomTrial>, MtdError> {
-    MtdSession::builder(net.clone())
-        .config(cfg.clone())
-        .x_pre(x_pre.to_vec())
-        .build()?
-        .keyspace_study_with_attacks(attacks, fraction, n_trials, deltas)
-}
-
 /// One random-keyspace trial (Figs. 7–8).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RandomTrial {
@@ -137,15 +83,21 @@ impl RandomTrial {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::effectiveness;
+    use crate::{MtdConfig, MtdSession};
     use gridmtd_powergrid::cases;
+
+    fn session(cfg: MtdConfig) -> MtdSession {
+        MtdSession::builder(cases::case14())
+            .config(cfg)
+            .build()
+            .unwrap()
+    }
 
     #[test]
     fn sweep_produces_increasing_gamma_and_cost_trend() {
-        let net = cases::case14();
-        let cfg = MtdConfig::fast_test();
-        let x0 = net.nominal_reactances();
-        let curve = tradeoff_sweep(&net, &x0, &[0.05, 0.15, 0.22], &[0.5, 0.9], &cfg).unwrap();
+        let curve = session(MtdConfig::fast_test())
+            .tradeoff_sweep(&[0.05, 0.15, 0.22], &[0.5, 0.9])
+            .unwrap();
         assert!(curve.points.len() >= 2, "{:?}", curve.points.len());
         // Ceiling from the nominal point is ≈ 0.259 rad (see selection
         // tests for the paper's larger corner-to-corner range).
@@ -169,24 +121,18 @@ mod tests {
 
     #[test]
     fn unreachable_thresholds_are_skipped() {
-        let net = cases::case14();
-        let cfg = MtdConfig::fast_test();
-        let x0 = net.nominal_reactances();
-        let curve = tradeoff_sweep(&net, &x0, &[0.1, 1.4], &[0.5], &cfg).unwrap();
+        let curve = session(MtdConfig::fast_test())
+            .tradeoff_sweep(&[0.1, 1.4], &[0.5])
+            .unwrap();
         assert_eq!(curve.points.len(), 1);
         assert_eq!(curve.points[0].gamma_threshold, 0.1);
     }
 
     #[test]
     fn random_keyspace_trials_have_high_variability() {
-        let net = cases::case14();
         let mut cfg = MtdConfig::fast_test();
         cfg.n_attacks = 120;
-        let x0 = net.nominal_reactances();
-        let opf = gridmtd_opf::solve_opf(&net, &x0, &cfg.opf_options()).unwrap();
-        let attacks = effectiveness::build_attack_set(&net, &x0, &opf.dispatch, &cfg).unwrap();
-        let trials =
-            random_keyspace_study(&net, &x0, &attacks, 0.02, 20, &[0.5, 0.9], &cfg).unwrap();
+        let trials = session(cfg).keyspace_study(0.02, 20, &[0.5, 0.9]).unwrap();
         assert_eq!(trials.len(), 20);
         // 2% random perturbations achieve tiny angles...
         for t in &trials {

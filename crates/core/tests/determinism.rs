@@ -5,7 +5,7 @@
 //! `GRIDMTD_THREADS` override; keeping every phase inside one `#[test]`
 //! keeps the environment mutation race-free.
 
-use gridmtd_core::{effectiveness, selection, tradeoff, MtdConfig};
+use gridmtd_core::{MtdConfig, MtdSession};
 use gridmtd_powergrid::cases;
 
 #[test]
@@ -17,15 +17,17 @@ fn parallel_engine_output_is_bit_identical_to_serial() {
         max_evals_per_start: 120,
         ..MtdConfig::default()
     };
-    let x0 = net.nominal_reactances();
 
+    // A fresh session per run, with no per-session budget: every fan-out
+    // sizes itself from `GRIDMTD_THREADS`.
     let run_engine = || {
-        let sel = selection::select_mtd(&net, &x0, 0.12, &cfg).unwrap();
-        let opf = gridmtd_opf::solve_opf(&net, &x0, &cfg.opf_options()).unwrap();
-        let attacks = effectiveness::build_attack_set(&net, &x0, &opf.dispatch, &cfg).unwrap();
-        let eval =
-            effectiveness::evaluate_with_attacks(&net, &x0, &sel.x_post, &attacks, &cfg).unwrap();
-        let curve = tradeoff::tradeoff_sweep(&net, &x0, &[0.05, 0.15], &[0.5, 0.9], &cfg).unwrap();
+        let session = MtdSession::builder(net.clone())
+            .config(cfg.clone())
+            .build()
+            .unwrap();
+        let sel = session.select(0.12).unwrap();
+        let eval = session.evaluate(&sel.x_post).unwrap();
+        let curve = session.tradeoff_sweep(&[0.05, 0.15], &[0.5, 0.9]).unwrap();
         (sel, eval, curve)
     };
 

@@ -17,7 +17,6 @@
 
 use gridmtd_core::faults::{registry, FaultPlan, Trigger};
 use gridmtd_core::{MtdConfig, MtdError, MtdSession};
-use gridmtd_linalg::sparse::{SparseLu, SparseMatrix};
 use gridmtd_linalg::LinalgError;
 use gridmtd_opf::lp::{LpProblem, LpSolution, LpSolver, Relation};
 use gridmtd_powergrid::cases;
@@ -126,42 +125,6 @@ fn warm_repair_fault_falls_back_cold_bit_identically() {
     assert!(active.fired("opf.lp.warm_repair") > 0);
     assert_eq!(solver.warm_solves(), 0, "failed repair must divert to cold");
     assert_eq!(pair, ref_pair, "cold fallback must be bit-identical");
-}
-
-#[test]
-fn sparse_lu_zero_pivot_fault_is_a_typed_error() {
-    let a = SparseMatrix::from_triplets(
-        3,
-        3,
-        &[
-            (0, 0, 4.0),
-            (0, 1, 1.0),
-            (1, 0, 1.0),
-            (1, 1, 3.0),
-            (1, 2, 1.0),
-            (2, 1, 1.0),
-            (2, 2, 5.0),
-        ],
-    )
-    .unwrap();
-    let reference = unfaulted(|| SparseLu::factor(&a).expect("well-conditioned factor"));
-
-    let active = FaultPlan::new(13)
-        .fail("linalg.sparse_lu.zero_pivot", Trigger::Once)
-        .activate();
-    // First factor hits the injected zero pivot: a typed error, no
-    // NaN-laden factor object escapes.
-    assert!(matches!(SparseLu::factor(&a), Err(LinalgError::Singular)));
-    assert_eq!(active.fired("linalg.sparse_lu.zero_pivot"), 1);
-    // Second factor (fault spent) recovers and solves like the
-    // reference.
-    let again = SparseLu::factor(&a).expect("factor after fault clears");
-    let rhs = vec![1.0, -2.0, 0.5];
-    assert_eq!(
-        reference.solve(&rhs).unwrap(),
-        again.solve(&rhs).unwrap(),
-        "recovered factor must be bit-identical"
-    );
 }
 
 #[test]
@@ -420,7 +383,6 @@ fn matrix_covers_every_non_serve_registry_point() {
         "core.session.estimator_poison",
         "linalg.eigen.ql_nonconvergence",
         "linalg.sparse_cholesky.zero_pivot",
-        "linalg.sparse_lu.zero_pivot",
         "opf.lbfgs.line_search",
         "opf.lp.warm_repair",
         "opf.lp.warm_resolve",

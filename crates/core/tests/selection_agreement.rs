@@ -16,12 +16,20 @@
 //! gradient-only: a Nelder–Mead run of comparable quality needs hundreds
 //! of debug-build LP solves.
 
-use gridmtd_core::{seedstream, selection, spa, MtdConfig, MtdError};
+use gridmtd_core::{seedstream, spa, MtdConfig, MtdError, MtdSelection, MtdSession};
 use gridmtd_opf::parallel::with_thread_budget;
 use gridmtd_opf::{nelder_mead, solve_opf, solve_opf_with, NelderMeadOptions, OpfContext};
 use gridmtd_powergrid::{cases, Network};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Problem (4) through a fresh session at the nominal reactances.
+fn select(net: &Network, gamma_th: f64, cfg: &MtdConfig) -> Result<MtdSelection, MtdError> {
+    MtdSession::builder(net.clone())
+        .config(cfg.clone())
+        .build()?
+        .select(gamma_th)
+}
 
 fn cfg_with(n_starts: usize, max_evals: usize, seed: u64) -> MtdConfig {
     MtdConfig {
@@ -126,7 +134,7 @@ fn agree_on(net: &Network, gamma_th: f64, n_starts: usize, max_evals: usize, see
     let x_pre = net.nominal_reactances();
     let cfg = cfg_with(n_starts, max_evals, seed);
 
-    let grad = selection::select_mtd(net, &x_pre, gamma_th, &cfg).unwrap();
+    let grad = select(net, gamma_th, &cfg).unwrap();
     let nm = nelder_mead_reference(net, &x_pre, gamma_th, &cfg);
 
     assert!(
@@ -175,10 +183,8 @@ fn case57_methods_agree() {
 
 #[test]
 fn case118_gradient_meets_threshold() {
-    let net = cases::case118();
-    let x_pre = net.nominal_reactances();
     let cfg = cfg_with(1, 12, 118_118);
-    let sel = selection::select_mtd(&net, &x_pre, 0.05, &cfg).unwrap();
+    let sel = select(&cases::case118(), 0.05, &cfg).unwrap();
     assert!(
         sel.gamma >= 0.05 - 1e-3,
         "case118 gradient selection missed gamma_th: {}",
@@ -190,16 +196,11 @@ fn case118_gradient_meets_threshold() {
 #[test]
 fn gradient_selection_is_bit_identical_across_thread_counts() {
     let net = cases::case14();
-    let x_pre = net.nominal_reactances();
     let cfg = cfg_with(4, 60, 7);
 
-    let baseline =
-        with_thread_budget(Some(1), || selection::select_mtd(&net, &x_pre, 0.2, &cfg)).unwrap();
+    let baseline = with_thread_budget(Some(1), || select(&net, 0.2, &cfg)).unwrap();
     for threads in [2usize, 4, 16] {
-        let sel = with_thread_budget(Some(threads), || {
-            selection::select_mtd(&net, &x_pre, 0.2, &cfg)
-        })
-        .unwrap();
+        let sel = with_thread_budget(Some(threads), || select(&net, 0.2, &cfg)).unwrap();
         assert_eq!(
             sel.gamma.to_bits(),
             baseline.gamma.to_bits(),
@@ -224,11 +225,13 @@ fn gradient_selection_is_bit_identical_across_thread_counts() {
 fn unreachable_threshold_is_still_a_typed_error() {
     // When the penalty rounds never meet γ_th, the error reports the
     // γ ceiling of the same inputs, bit for bit.
-    let net = cases::case4();
-    let x_pre = net.nominal_reactances();
     let cfg = cfg_with(1, 40, 1);
-    let (_, ceiling) = selection::max_achievable_gamma(&net, &x_pre, &cfg).unwrap();
-    match selection::select_mtd(&net, &x_pre, 1.5, &cfg) {
+    let session = MtdSession::builder(cases::case4())
+        .config(cfg)
+        .build()
+        .unwrap();
+    let &(_, ceiling) = session.max_gamma().unwrap();
+    match session.select(1.5) {
         Err(MtdError::ThresholdUnreachable {
             requested,
             achieved,

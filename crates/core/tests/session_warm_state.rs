@@ -11,19 +11,30 @@
 //! * no gain-matrix (`HᵀWH`) symbolic re-analysis in detector builds —
 //!   pinned with `gridmtd_estimation::gain_symbolic_analyses`.
 //!
-//! And session-routed outputs must be **bit-identical** to the
-//! historical free-function pipeline, on dense paper-scale cases and on
-//! the sparse scaling cases alike (the scenario goldens pin the same
-//! property end to end at the artifact level).
+//! And a warm session's outputs must be **bit-identical** to a fresh
+//! session's and to the public free functions (`spa::gamma`,
+//! `spa::smallest_angle`, `build_attack_set_with_h`,
+//! `detection_probabilities_parallel`) composed by hand, on dense
+//! paper-scale cases and on the sparse scaling cases alike (the scenario
+//! goldens pin the same property end to end at the artifact level).
 //!
 //! Everything lives in ONE `#[test]` in its own integration-test
 //! binary: the counters are process-global, so concurrently running
 //! tests would otherwise inflate the deltas (the pattern of
 //! `timeline_rebuilds.rs`).
 
-use gridmtd_core::{effectiveness, selection, spa, MtdConfig, MtdSession};
-use gridmtd_estimation::gain_symbolic_analyses;
-use gridmtd_powergrid::{cases, stats};
+use gridmtd_core::{effectiveness, spa, MtdConfig, MtdEvaluation, MtdSession};
+use gridmtd_estimation::{gain_symbolic_analyses, BadDataDetector, NoiseModel, StateEstimator};
+use gridmtd_powergrid::{cases, stats, Network};
+
+/// A session with no warm state yet.
+fn fresh(net: &Network, x_pre: &[f64], cfg: &MtdConfig) -> MtdSession {
+    MtdSession::builder(net.clone())
+        .config(cfg.clone())
+        .x_pre(x_pre.to_vec())
+        .build()
+        .unwrap()
+}
 
 fn tiny_cfg() -> MtdConfig {
     MtdConfig {
@@ -60,37 +71,39 @@ fn session_reuses_warm_state_and_matches_free_functions() {
     assert_eq!(sel_warmup, sel_again, "warm select must be deterministic");
     assert_eq!(eval, eval_again, "warm evaluate must be deterministic");
 
-    // Bit-identity against the self-contained free function (which
-    // rebuilds H + basis itself).
-    let x_pre = session.x_pre().to_vec();
-    let free = selection::select_mtd(&net, &x_pre, 0.05, &cfg).unwrap();
+    // Bit-identity against a fresh session (which rebuilds H + basis
+    // itself).
+    let cold = fresh(&net, session.x_pre(), &cfg).select(0.05).unwrap();
     assert_eq!(
-        free, sel_again,
-        "session select must be bit-identical to the free function"
+        cold, sel_again,
+        "warm select must be bit-identical to a fresh session's"
     );
     assert!(
         spa::gamma_basis_builds() > basis_before,
-        "the free function pays the basis rebuild the session avoids"
+        "a fresh session pays the basis rebuild the warm session avoids"
     );
 
     // ------------------------------------------------------------------
-    // case14 (dense): one-shot evaluation wrapper vs session.
+    // case14 (dense): one-shot fresh-session evaluation vs a session
+    // warmed on another perturbation.
     // ------------------------------------------------------------------
     let net14 = cases::case14();
     let mut x_post14 = net14.nominal_reactances();
     for (k, l) in net14.dfacts_branches().into_iter().enumerate() {
         x_post14[l] *= if k % 2 == 0 { 1.3 } else { 0.7 };
     }
-    let free14 =
-        effectiveness::evaluate_mtd(&net14, &net14.nominal_reactances(), &x_post14, &cfg).unwrap();
+    let free14 = fresh(&net14, &net14.nominal_reactances(), &cfg)
+        .evaluate(&x_post14)
+        .unwrap();
     let session14 = MtdSession::builder(net14.clone())
         .config(cfg.clone())
         .build()
         .unwrap();
+    session14.evaluate(&net14.nominal_reactances()).unwrap();
     assert_eq!(
         session14.evaluate(&x_post14).unwrap(),
         free14,
-        "session evaluate must be bit-identical to evaluate_mtd"
+        "warm evaluate must be bit-identical to a fresh session's"
     );
     // The free angle functions solve the same pencil against a one-off
     // basis: the session's bits, and no cached-basis build counted.
@@ -156,35 +169,29 @@ fn session_reuses_warm_state_and_matches_free_functions() {
     assert_eq!(spa::gamma_basis_builds(), basis_before);
     assert_eq!(sel57, sel57_again);
 
-    // Sparse-path bit-identity: the primed-prototype solves must equal
-    // the free function's all-fresh contexts to the bit.
-    let x57 = session57.x_pre().to_vec();
-    let free57 = selection::select_mtd(&net57, &x57, 0.0, &cfg57).unwrap();
+    // Sparse-path bit-identity: the warm primed-prototype solves must
+    // equal a fresh session's to the bit.
+    let cold57 = fresh(&net57, session57.x_pre(), &cfg57);
+    let free57 = cold57.select(0.0).unwrap();
     assert_eq!(
         free57, sel57_again,
-        "sparse-path session select must be bit-identical to the free function"
+        "sparse-path warm select must be bit-identical to a fresh session's"
     );
-    // ...and the free path re-analyzed what the session kept warm.
+    // ...and the fresh session re-analyzed what the warm one kept.
     assert!(
         stats::pf_symbolic_analyses() > pf_before,
-        "the free function pays the symbolic analyses the session avoids"
+        "a fresh session pays the symbolic analyses the warm session avoids"
     );
-    let eval57_free = effectiveness::evaluate_with_attacks(
-        &net57,
-        &x57,
-        &sel57_again.x_post,
-        session57.attacks().unwrap(),
-        &cfg57,
-    )
-    .unwrap();
+    let eval57_free = cold57.evaluate(&sel57_again.x_post).unwrap();
     assert_eq!(
         eval57_free, eval57,
-        "sparse-path evaluation must be bit-identical to the free function"
+        "sparse-path warm evaluation must be bit-identical to a fresh session's"
     );
 
     // ------------------------------------------------------------------
     // case118: the largest gated case — evaluation and raw detection
-    // probabilities, session vs free, to the bit.
+    // probabilities, session vs the free functions composed by hand, to
+    // the bit.
     // ------------------------------------------------------------------
     let net118 = cases::case118();
     let cfg118 = MtdConfig {
@@ -202,20 +209,27 @@ fn session_reuses_warm_state_and_matches_free_functions() {
         .unwrap();
     let sess_eval = session118.evaluate(&x_post118).unwrap();
 
+    let h118 = net118.measurement_matrix(&x118).unwrap();
+    let h_post118 = net118.measurement_matrix(&x_post118).unwrap();
     let opf118 = gridmtd_opf::solve_opf(&net118, &x118, &cfg118.opf_options()).unwrap();
     let attacks118 =
-        effectiveness::build_attack_set(&net118, &x118, &opf118.dispatch, &cfg118).unwrap();
-    let free_eval =
-        effectiveness::evaluate_with_attacks(&net118, &x118, &x_post118, &attacks118, &cfg118)
+        effectiveness::build_attack_set_with_h(&net118, &h118, &x118, &opf118.dispatch, &cfg118)
             .unwrap();
+    let free_probs = {
+        let noise = NoiseModel::uniform(h_post118.rows(), cfg118.noise_sigma_mw);
+        let est = StateEstimator::new(h_post118.clone(), &noise).unwrap();
+        let bdd = BadDataDetector::new(est, cfg118.alpha);
+        effectiveness::detection_probabilities_parallel(&bdd, &attacks118).unwrap()
+    };
+    let free_eval = MtdEvaluation {
+        gamma: spa::gamma(&h118, &h_post118).unwrap(),
+        smallest_angle: spa::smallest_angle(&h118, &h_post118).unwrap(),
+        detection_probs: free_probs.clone(),
+    };
     assert_eq!(
         free_eval, sess_eval,
         "case118 session evaluation must be bit-identical to the free path"
     );
-    let free_probs = {
-        let bdd = effectiveness::post_mtd_detector(&net118, &x_post118, &cfg118).unwrap();
-        effectiveness::detection_probabilities_parallel(&bdd, &attacks118).unwrap()
-    };
     let sess_probs = session118.detection_probabilities(&x_post118).unwrap();
     assert_eq!(
         free_probs.iter().map(|p| p.to_bits()).collect::<Vec<u64>>(),

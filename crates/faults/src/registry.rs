@@ -16,7 +16,6 @@ pub const ALL: &[&str] = &[
     "core.session.estimator_poison",
     "linalg.eigen.ql_nonconvergence",
     "linalg.sparse_cholesky.zero_pivot",
-    "linalg.sparse_lu.zero_pivot",
     "opf.lbfgs.line_search",
     "opf.lp.warm_repair",
     "opf.lp.warm_resolve",

@@ -15,9 +15,7 @@
 //!   the symbolic phase (elimination tree, pattern of `L`, scatter plan)
 //!   computed **once per topology** and the numeric phase re-run per
 //!   perturbation ([`SparseCholesky::refactor`]), plus multi-RHS
-//!   triangular solves ([`SparseCholesky::solve_matrix`]);
-//! * [`SparseLu`] — Gilbert–Peierls LU with partial pivoting for
-//!   unsymmetric sparse systems.
+//!   triangular solves ([`SparseCholesky::solve_matrix`]).
 //!
 //! Consumers keep the dense kernels below a size crossover (the dense
 //! path has no index overhead and is byte-stable with the original
@@ -26,9 +24,7 @@
 
 mod cholesky;
 mod csc;
-mod lu;
 pub mod ordering;
 
 pub use cholesky::{SparseCholesky, SymbolicCholesky};
 pub use csc::SparseMatrix;
-pub use lu::SparseLu;

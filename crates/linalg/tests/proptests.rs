@@ -24,17 +24,6 @@ fn sparse_spd_strategy(n: usize) -> impl Strategy<Value = sparse::SparseMatrix> 
     })
 }
 
-/// Strategy: a sparse diagonally-dominant (invertible) matrix.
-fn sparse_invertible_strategy(n: usize) -> impl Strategy<Value = sparse::SparseMatrix> {
-    sparse_pattern_strategy(n, n).prop_map(move |mut m| {
-        for i in 0..n {
-            let row_sum: f64 = (0..n).map(|j| m[(i, j)].abs()).sum();
-            m[(i, i)] = row_sum + 1.0;
-        }
-        sparse::SparseMatrix::from_dense(&m)
-    })
-}
-
 /// Strategy: a well-scaled `rows × cols` matrix with entries in [-5, 5].
 fn matrix_strategy(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
     proptest::collection::vec(-5.0..5.0f64, rows * cols)
@@ -287,17 +276,5 @@ proptest! {
         for (w, c) in xw.iter().zip(xc.iter()) {
             prop_assert!((w - c).abs() <= 1e-10 * c.abs().max(1.0));
         }
-    }
-
-    #[test]
-    fn sparse_lu_agrees_with_dense(a in sparse_invertible_strategy(7),
-                                   b in proptest::collection::vec(-10.0..10.0f64, 7)) {
-        let slu = sparse::SparseLu::factor(&a).unwrap();
-        let dense = a.to_dense();
-        prop_assert!(vector::approx_eq(&slu.solve(&b).unwrap(),
-                                       &Lu::factor(&dense).unwrap().solve(&b).unwrap(), 1e-6));
-        prop_assert!(vector::approx_eq(&slu.solve_transposed(&b).unwrap(),
-                                       &Lu::factor(&dense).unwrap().solve_transposed(&b).unwrap(),
-                                       1e-6));
     }
 }

@@ -2,12 +2,12 @@
 //!
 //! The paper's figures reproduce because every layer of this workspace
 //! is bit-identical: parallel vs. serial fan-out, warm sessions vs.
-//! free functions, wire responses vs. direct calls. The invariants that
+//! fresh ones, wire responses vs. direct calls. The invariants that
 //! guarantee this — no unordered iteration, no ad-hoc seed arithmetic,
-//! no wall-clock reads in result paths, poison-safe locking, no
-//! process-global thread state — used to live only in reviewers'
-//! heads, and PR 6 shipped three separate regression fixes for silent
-//! violations of exactly these rules. This crate makes them
+//! no wall-clock reads in result paths, poison-safe locking — used to
+//! live only in reviewers' heads, and PR 6 shipped three separate
+//! regression fixes for silent violations of exactly these rules. This
+//! crate makes them
 //! machine-checked: a string/char/raw-string/comment-aware tokenizer
 //! ([`tokens`]), a rule engine grounded in those real incidents
 //! ([`rules`]), and a workspace walker with human and JSON reports
@@ -21,7 +21,6 @@
 //! | `unordered-iter` | `HashMap`/`HashSet` iteration order leaking into results |
 //! | `float-eq` | exact `==`/`!=` on floats outside tests |
 //! | `wallclock` | `Instant::now` / `SystemTime` in result-producing crates |
-//! | `thread-override` | the process-global thread override outside the CLI |
 //! | `fault-point` | `faults::point!` names drifting from the registry (unregistered, duplicated, or stale — cross-file, not allow-able) |
 //! | `bad-allow` | `allow(...)` escapes without a written reason |
 //!

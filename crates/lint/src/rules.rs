@@ -2,9 +2,9 @@
 //! stream of one file.
 //!
 //! Every rule is grounded in a real incident (see `docs/ARCHITECTURE.md`
-//! for the table): the poisoned-mutex session brick, the `base ^ t`
-//! seed-stream collisions, and the process-global thread-override race
-//! all shipped as silent violations that only careful review caught.
+//! for the table): the poisoned-mutex session brick and the `base ^ t`
+//! seed-stream collisions both shipped as silent violations that only
+//! careful review caught.
 //! The rules here make the reviewer's checklist executable.
 //!
 //! # Escape hatch
@@ -44,7 +44,6 @@ pub const ALLOWABLE_RULES: &[&str] = &[
     "unordered-iter",
     "float-eq",
     "wallclock",
-    "thread-override",
 ];
 
 const BAD_ALLOW: &str = "bad-allow";
@@ -72,7 +71,6 @@ pub fn lint_source(path: &str, src: &str) -> Vec<Finding> {
     rule_unordered_iter(path, &code, &in_test, &mut findings);
     rule_float_eq(path, &code, &in_test, &mut findings);
     rule_wallclock(path, &code, &in_test, &mut findings);
-    rule_thread_override(path, &code, &in_test, &mut findings);
 
     findings.retain(|f| {
         f.rule == BAD_ALLOW
@@ -543,44 +541,6 @@ fn rule_wallclock(
             rule: "wallclock",
             message: format!("wall-clock read (`{}`) in a result-producing crate", tok.text),
             hint: "results must be a pure function of (case, config, seed); keep timing in crates/bench or serve::loadtest",
-        });
-    }
-}
-
-/// `thread-override` — calls to the process-global
-/// `set_thread_override` outside the CLI entry point. The global is a
-/// race: two concurrent sessions setting different budgets corrupt each
-/// other (the PR 6 incident); library and server code must use the
-/// scoped per-session budget (`with_thread_budget` /
-/// `MtdSessionBuilder::threads`). Only `src/bin/gridmtd.rs` — a single
-/// thread at startup — may touch the global.
-fn rule_thread_override(
-    path: &str,
-    code: &[&Token],
-    in_test: &dyn Fn(usize) -> bool,
-    findings: &mut Vec<Finding>,
-) {
-    if path == "src/bin/gridmtd.rs" {
-        return;
-    }
-    for i in 0..code.len() {
-        let tok = code[i];
-        if !(tok.kind == TokenKind::Ident && tok.text == "set_thread_override") {
-            continue;
-        }
-        // The definition itself (`pub fn set_thread_override`) is fine.
-        if ident(code.get(i.wrapping_sub(1)), "fn") {
-            continue;
-        }
-        if in_test(tok.line) {
-            continue;
-        }
-        findings.push(Finding {
-            file: path.to_string(),
-            line: tok.line,
-            rule: "thread-override",
-            message: "process-global thread override used outside the CLI entry point".to_string(),
-            hint: "use the scoped budget instead: MtdSessionBuilder::threads(n) or parallel::with_thread_budget",
         });
     }
 }

@@ -91,18 +91,6 @@ fn wallclock_fixture() {
 }
 
 #[test]
-fn thread_override_fixture() {
-    // Calls fire; the definition (`fn set_thread_override`) and the CLI
-    // entry point are exempt.
-    expect(
-        "thread_override.rs",
-        "crates/x/src/pool.rs",
-        &[("thread-override", 7)],
-    );
-    expect("thread_override.rs", "src/bin/gridmtd.rs", &[]);
-}
-
-#[test]
 fn bad_allow_fixture() {
     // A reason-less allow is a finding AND fails to suppress its
     // target; an allow naming an unknown rule is a finding too.

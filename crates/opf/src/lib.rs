@@ -21,7 +21,7 @@
 //! binding line is discovered once per trajectory, and the
 //! warm-startable [`lp::LpSolver`], which reuses the previous optimal
 //! basis and skips simplex Phase 1 — the hot-path optimizations behind
-//! `select_mtd`-style sweeps.
+//! problem-(4) selection sweeps.
 //!
 //! # Example
 //!

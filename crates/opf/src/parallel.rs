@@ -16,11 +16,8 @@
 //!    `MtdSession` applies around every entry point, so two sessions
 //!    with different `threads(n)` settings can run concurrently in one
 //!    process without racing each other;
-//! 2. the **process-wide override** ([`set_thread_override`]) — a
-//!    last-writer-wins global kept as the coarse fallback for
-//!    single-workload hosts (one `gridmtd run` per process);
-//! 3. the `GRIDMTD_THREADS` environment variable;
-//! 4. [`std::thread::available_parallelism`].
+//! 2. the `GRIDMTD_THREADS` environment variable;
+//! 3. [`std::thread::available_parallelism`].
 //!
 //! The scoped budget is carried in a thread-local that [`par_map`]
 //! re-establishes inside every worker it spawns, so nested fan-outs (a
@@ -33,42 +30,11 @@ use std::cell::Cell;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Process-wide worker-count override (0 = unset). Set through
-/// [`set_thread_override`]; read by every fan-out via
-/// [`available_threads`].
-static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
 thread_local! {
     /// Scoped per-call worker budget (0 = unset). Established by
     /// [`with_thread_budget`] and re-established inside every [`par_map`]
     /// worker, so it follows the call tree across fan-out layers.
     static THREAD_BUDGET: Cell<usize> = const { Cell::new(0) };
-}
-
-/// Sets (or with `None` clears) the process-wide worker-count override.
-///
-/// The override beats the `GRIDMTD_THREADS` environment variable and the
-/// machine's parallelism, and reaches **every** fan-out layer — outer
-/// batch requests, inner multistarts, attack-scoring chunks — because
-/// they all size themselves through [`available_threads`]. It is
-/// genuinely process-global (last writer wins), which is the right
-/// semantics for a single-workload process such as one `gridmtd run`;
-/// hosts juggling differently-capped workloads concurrently — the
-/// `gridmtd serve` worker pool above all — should use the scoped
-/// [`with_thread_budget`] instead, which takes precedence over this
-/// override. Results are bit-identical for any worker count (the
-/// workspace determinism contract), so both knobs are purely resource
-/// controls.
-pub fn set_thread_override(threads: Option<usize>) {
-    THREAD_OVERRIDE.store(threads.map_or(0, |n| n.max(1)), Ordering::Relaxed);
-}
-
-/// The worker-count override currently in force, if any.
-pub fn thread_override() -> Option<usize> {
-    match THREAD_OVERRIDE.load(Ordering::Relaxed) {
-        0 => None,
-        n => Some(n),
-    }
 }
 
 /// The scoped per-call worker budget in force on this thread, if any.
@@ -85,9 +51,9 @@ pub fn thread_budget() -> Option<usize> {
 /// returns `budget`. `None` leaves whatever budget is already in force
 /// untouched, so wrappers can apply an optional cap unconditionally.
 ///
-/// This is the race-free alternative to [`set_thread_override`]: two
-/// threads can run differently-budgeted scopes concurrently and each
-/// fan-out sees exactly the budget of the call tree it belongs to.
+/// Budgets do not race: two threads can run differently-budgeted scopes
+/// concurrently and each fan-out sees exactly the budget of the call
+/// tree it belongs to.
 pub fn with_thread_budget<R>(budget: Option<usize>, f: impl FnOnce() -> R) -> R {
     match budget {
         None => f(),
@@ -109,14 +75,10 @@ pub fn with_thread_budget<R>(budget: Option<usize>, f: impl FnOnce() -> R) -> R 
 }
 
 /// Worker count used by [`par_map`]: the scoped [`with_thread_budget`]
-/// value if one is in force on this thread, else the process-wide
-/// [`set_thread_override`] value, else `GRIDMTD_THREADS` (minimum 1),
-/// else the machine's available parallelism.
+/// value if one is in force on this thread, else `GRIDMTD_THREADS`
+/// (minimum 1), else the machine's available parallelism.
 pub fn available_threads() -> usize {
     if let Some(n) = thread_budget() {
-        return n;
-    }
-    if let Some(n) = thread_override() {
         return n;
     }
     if let Ok(v) = std::env::var("GRIDMTD_THREADS") {
@@ -281,8 +243,8 @@ mod tests {
 
     #[test]
     fn scoped_budget_beats_global_and_restores() {
-        // The scoped budget wins inside the scope and disappears after
-        // it, leaving the (unset) global precedence chain untouched.
+        // The scoped budget wins over the environment and the machine
+        // inside the scope and disappears after it.
         assert_eq!(thread_budget(), None);
         let inside = with_thread_budget(Some(3), || (available_threads(), thread_budget()));
         assert_eq!(inside, (3, Some(3)));
@@ -322,11 +284,9 @@ mod tests {
 
     #[test]
     fn concurrent_scopes_keep_independent_budgets() {
-        // The historical global override raced: two workloads built
-        // with different `threads(n)` caps made the last writer win for
-        // both. Scoped budgets are per call tree — each concurrent
-        // scope observes exactly its own cap, and the global override
-        // is never touched.
+        // Scoped budgets are per call tree: two workloads built with
+        // different `threads(n)` caps, run concurrently, each observe
+        // exactly their own cap.
         let barrier = std::sync::Barrier::new(2);
         let items: Vec<usize> = (0..16).collect();
         let observe = |budget: usize| {
@@ -339,11 +299,6 @@ mod tests {
             assert!(a.join().unwrap().iter().all(|&n| n == 1));
             assert!(b.join().unwrap().iter().all(|&n| n == 4));
         });
-        assert_eq!(
-            thread_override(),
-            None,
-            "scoped budgets must not touch the global"
-        );
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! [`Json`] writer, and `run_batch` is pinned (by the core crate's
 //! own tests) to match per-request calls for any worker count.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -147,7 +147,11 @@ struct Shared {
     reaped: AtomicU64,
     shed: AtomicU64,
     expired: AtomicU64,
-    conns: Mutex<Vec<TcpStream>>,
+    /// A clone of every open connection's socket, keyed by accept
+    /// order, so shutdown can unblock idle readers. Each connection
+    /// removes its own entry when it ends; a clone left behind would
+    /// hold the socket open and leave the peer waiting for an EOF.
+    conns: Mutex<BTreeMap<u64, TcpStream>>,
 }
 
 impl Shared {
@@ -201,7 +205,7 @@ impl Server {
             reaped: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             expired: AtomicU64::new(0),
-            conns: Mutex::new(Vec::new()),
+            conns: Mutex::new(BTreeMap::new()),
         });
         let mut workers = Vec::with_capacity(opts.workers.max(1));
         for i in 0..opts.workers.max(1) {
@@ -272,7 +276,7 @@ impl Server {
         // clients before exiting (the reader's EOF drops the channel
         // sender, so each writer drains and terminates).
         let conns = std::mem::take(&mut *lock(&self.shared.conns));
-        for conn in conns {
+        for conn in conns.into_values() {
             let _ = conn.shutdown(Shutdown::Read);
         }
     }
@@ -312,19 +316,27 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        shared.connections.fetch_add(1, Ordering::Relaxed);
+        let conn_id = shared.connections.fetch_add(1, Ordering::Relaxed);
         // A blocking read wakes at least every idle_timeout, so a dead
         // client's threads are reclaimed instead of parked forever.
         if shared.idle_timeout.is_some() {
             let _ = stream.set_read_timeout(shared.idle_timeout);
         }
         if let Ok(clone) = stream.try_clone() {
-            lock(&shared.conns).push(clone);
+            lock(&shared.conns).insert(conn_id, clone);
         }
-        let shared = Arc::clone(shared);
-        let _ = std::thread::Builder::new()
+        let conn_shared = Arc::clone(shared);
+        let spawned = std::thread::Builder::new()
             .name("gridmtd-conn".to_string())
-            .spawn(move || connection_loop(stream, &shared));
+            .spawn(move || {
+                connection_loop(stream, &conn_shared);
+                // Drop the shutdown clone so the socket closes with the
+                // connection's own handles.
+                lock(&conn_shared.conns).remove(&conn_id);
+            });
+        if spawned.is_err() {
+            lock(&shared.conns).remove(&conn_id);
+        }
     }
 }
 
@@ -536,13 +548,15 @@ fn writer_loop(stream: TcpStream, rx: &mpsc::Receiver<String>) {
         // Injection point: a failed response write ends this
         // connection like any socket error; the server must keep
         // serving other connections.
-        if gridmtd_faults::point!("serve.conn.write") {
-            return;
-        }
-        if out.write_all(line.as_bytes()).is_err() || out.write_all(b"\n").is_err() {
-            return;
-        }
-        if out.flush().is_err() {
+        let failed = gridmtd_faults::point!("serve.conn.write")
+            || out.write_all(line.as_bytes()).is_err()
+            || out.write_all(b"\n").is_err()
+            || out.flush().is_err();
+        if failed {
+            // A connection that cannot answer is dead: close the socket
+            // so its reader stops and the peer sees EOF instead of
+            // waiting for a response that will never come.
+            let _ = out.get_ref().shutdown(Shutdown::Both);
             return;
         }
     }

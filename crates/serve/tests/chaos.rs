@@ -45,14 +45,23 @@ fn conn_read_fault_drops_one_connection_not_the_server() {
     let mut server = Server::start(&ServeOptions::default()).unwrap();
 
     // The first connection's reader hits the injected I/O failure and
-    // closes; the client observes a dead socket, nothing worse.
+    // closes; the client observes a dead socket, nothing worse. The
+    // socket must really close: a client without a read timeout would
+    // otherwise wait on it forever, so running into the timeout here is
+    // a failure too.
     let mut doomed = Client::connect(server.local_addr()).unwrap();
     doomed
         .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
+    let err = doomed
+        .call_raw(r#"{"id":1,"method":"ping"}"#)
+        .expect_err("the faulted connection must fail, not answer");
     assert!(
-        doomed.call_raw(r#"{"id":1,"method":"ping"}"#).is_err(),
-        "the faulted connection must fail, not answer"
+        !matches!(
+            err.kind(),
+            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+        ),
+        "the faulted connection must be closed, not left open: {err:?}"
     );
     assert_eq!(active.fired("serve.conn.read"), 1);
 
@@ -64,28 +73,27 @@ fn conn_read_fault_drops_one_connection_not_the_server() {
 }
 
 #[test]
-fn conn_write_fault_stalls_within_the_read_bound_then_reconnects() {
+fn conn_write_fault_disconnects_then_reconnects() {
     let active = FaultPlan::new(22)
         .fail("serve.conn.write", Trigger::Once)
         .activate();
     let mut server = Server::start(&ServeOptions::default()).unwrap();
 
-    // The response line is dropped by the faulted writer, so the client
-    // sees silence — bounded by its own read timeout, never an
-    // unbounded hang.
+    // The response line is dropped by the faulted writer, which closes
+    // the connection: the client sees a disconnect at once. Running
+    // into its own read timeout would mean the dead connection stayed
+    // open, and a client without a timeout would hang on it.
     let mut doomed = Client::connect(server.local_addr()).unwrap();
     doomed
-        .set_read_timeout(Some(Duration::from_millis(800)))
+        .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
     let err = doomed.call_raw(r#"{"id":1,"method":"ping"}"#).unwrap_err();
     assert!(
-        matches!(
+        !matches!(
             err.kind(),
-            std::io::ErrorKind::WouldBlock
-                | std::io::ErrorKind::TimedOut
-                | std::io::ErrorKind::UnexpectedEof
+            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
         ),
-        "expected bounded stall or disconnect, got {err:?}"
+        "expected a disconnect, not a stall, got {err:?}"
     );
     assert_eq!(active.fired("serve.conn.write"), 1);
 

@@ -6,8 +6,8 @@
 //! smallest subspace-angle threshold achieving `η'(0.9) ≥ 0.9`, logs
 //! the operational cost of the defense, and advances the stale-matrix
 //! state the session owns. Uses reduced optimizer budgets so it
-//! finishes in about a minute; the `fig10_11` bench binary runs the
-//! full-budget version.
+//! finishes in about a minute; `gridmtd run
+//! scenarios/timeline_case14.toml` runs the checked-in Figs. 10–11 day.
 //!
 //! Run with: `cargo run --release --example daily_operation`
 

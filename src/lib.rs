@@ -27,23 +27,23 @@
 //! # Example: is a random MTD perturbation any good?
 //!
 //! ```
-//! use gridmtd::mtd::{effectiveness, selection, MtdConfig};
+//! use gridmtd::mtd::{selection, MtdConfig, MtdSession};
 //! use gridmtd::powergrid::cases;
 //! use rand::SeedableRng;
 //!
 //! # fn main() -> Result<(), gridmtd::mtd::MtdError> {
-//! let net = cases::case14();
 //! let cfg = MtdConfig { n_attacks: 100, ..MtdConfig::default() };
-//! let x_pre = net.nominal_reactances();
+//! let session = MtdSession::builder(cases::case14()).config(cfg).build()?;
 //!
 //! // Prior work's strategy: a random ±2% perturbation...
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-//! let x_rand = selection::random_perturbation(&net, &x_pre, 0.02, &mut rng)?;
-//! let weak = effectiveness::evaluate_mtd(&net, &x_pre, &x_rand, &cfg)?;
+//! let x_rand =
+//!     selection::random_perturbation(session.network(), session.x_pre(), 0.02, &mut rng)?;
+//! let weak = session.evaluate(&x_rand)?;
 //!
 //! // ...versus this paper's SPA-targeted selection.
-//! let sel = selection::select_mtd(&net, &x_pre, 0.2, &cfg)?;
-//! let strong = effectiveness::evaluate_mtd(&net, &x_pre, &sel.x_post, &cfg)?;
+//! let sel = session.select(0.2)?;
+//! let strong = session.evaluate(&sel.x_post)?;
 //! assert!(strong.effectiveness(0.9) > weak.effectiveness(0.9));
 //! # Ok(())
 //! # }

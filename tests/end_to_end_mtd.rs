@@ -4,10 +4,18 @@
 
 use gridmtd::attack::AttackerKnowledge;
 use gridmtd::estimation::{BadDataDetector, NoiseModel, StateEstimator};
-use gridmtd::mtd::{effectiveness, selection, spa, theory, MtdConfig};
-use gridmtd::powergrid::{cases, dcpf};
+use gridmtd::mtd::{selection, spa, theory, MtdConfig, MtdSession};
+use gridmtd::powergrid::{cases, dcpf, Network};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+fn session(net: &Network, x_pre: &[f64], cfg: &MtdConfig) -> MtdSession {
+    MtdSession::builder(net.clone())
+        .config(cfg.clone())
+        .x_pre(x_pre.to_vec())
+        .build()
+        .unwrap()
+}
 
 fn fast_cfg() -> MtdConfig {
     MtdConfig {
@@ -26,7 +34,7 @@ fn stale_attacker_is_defeated_fresh_attacker_is_not() {
     let h_pre = net.measurement_matrix(&x_pre).unwrap();
 
     // Defender selects an effective perturbation.
-    let sel = selection::select_mtd(&net, &x_pre, 0.2, &cfg).unwrap();
+    let sel = session(&net, &x_pre, &cfg).select(0.2).unwrap();
     let h_post = net.measurement_matrix(&sel.x_post).unwrap();
     let noise = NoiseModel::uniform(h_post.rows(), cfg.noise_sigma_mw);
     let bdd = BadDataDetector::new(StateEstimator::new(h_post, &noise).unwrap(), cfg.alpha);
@@ -111,7 +119,7 @@ fn gamma_zero_perturbation_is_useless_regardless_of_size() {
     let cfg = fast_cfg();
     let x_pre = net.nominal_reactances();
     let x_post: Vec<f64> = x_pre.iter().map(|v| v * 1.45).collect();
-    let eval = effectiveness::evaluate_mtd(&net, &x_pre, &x_post, &cfg).unwrap();
+    let eval = session(&net, &x_pre, &cfg).evaluate(&x_post).unwrap();
     assert!(eval.gamma < 1e-6);
     assert_eq!(eval.effectiveness(0.5), 0.0);
 }
@@ -121,19 +129,17 @@ fn selected_mtd_beats_every_random_trial_on_guarantee() {
     let net = cases::case14();
     let cfg = fast_cfg();
     let x_pre = net.nominal_reactances();
-    let opf = gridmtd::opf::solve_opf(&net, &x_pre, &cfg.opf_options()).unwrap();
-    let attacks = effectiveness::build_attack_set(&net, &x_pre, &opf.dispatch, &cfg).unwrap();
+    // One session scores every perturbation against one ensemble.
+    let s = session(&net, &x_pre, &cfg);
 
-    let sel = selection::select_mtd(&net, &x_pre, 0.2, &cfg).unwrap();
-    let targeted =
-        effectiveness::evaluate_with_attacks(&net, &x_pre, &sel.x_post, &attacks, &cfg).unwrap();
+    let sel = s.select(0.2).unwrap();
+    let targeted = s.evaluate(&sel.x_post).unwrap();
 
     // Random 2%-style perturbations (prior work's strategy).
     let mut rng = StdRng::seed_from_u64(9);
     for _ in 0..5 {
         let x_rand = selection::random_perturbation(&net, &x_pre, 0.02, &mut rng).unwrap();
-        let rand_eval =
-            effectiveness::evaluate_with_attacks(&net, &x_pre, &x_rand, &attacks, &cfg).unwrap();
+        let rand_eval = s.evaluate(&x_rand).unwrap();
         assert!(
             targeted.effectiveness(0.9) > rand_eval.effectiveness(0.9),
             "targeted {} <= random {}",
@@ -155,7 +161,7 @@ fn spa_approximation_of_section6_holds_under_load_drift() {
 
     let (x_t, _) = selection::baseline_opf(&net_hour1, &x_nominal, &cfg).unwrap();
     let (x_t1, _) = selection::baseline_opf(&net_hour2, &x_t, &cfg).unwrap();
-    let sel = selection::select_mtd(&net_hour2, &x_t, 0.2, &cfg).unwrap();
+    let sel = session(&net_hour2, &x_t, &cfg).select(0.2).unwrap();
 
     let h_t = net.measurement_matrix(&x_t).unwrap();
     let h_t1 = net.measurement_matrix(&x_t1).unwrap();
