@@ -1,7 +1,8 @@
 //! Criterion benches for the numerical kernels underlying every
 //! experiment: subspace angles (the principal-angle pencil against an
 //! orthonormal basis of `Col(H_pre)`: the basis QR, the values-only
-//! angle spectrum and the differentiable `sin²γ` state), DC power flow,
+//! angle spectrum, the dense differentiable `sin²γ` state and the
+//! selection's low-rank one), DC power flow,
 //! WLS + BDD residual evaluation and closed-form attack scoring.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
@@ -28,10 +29,12 @@ fn bench_gamma(c: &mut Criterion) {
     group.finish();
 }
 
-/// The two halves of the γ kernel on case118 (`H` is 488 × 117): the
-/// per-`x_pre` basis QR, and the per-candidate `sin²γ` state (one
-/// pencil eigensolve plus one inverse-iteration eigenvector) that every
-/// gradient evaluation of the selection pays.
+/// The γ kernels on case118 (`H` is 488 × 117, 52 D-FACTS lines): the
+/// per-`x_pre` basis QR; the dense `sin²γ` state of a given `H` (one
+/// `k × k` pencil eigensolve plus one inverse-iteration eigenvector),
+/// which evaluation keeps; and the low-rank state plus the full D-FACTS
+/// gradient straight from reactances, which every gradient evaluation
+/// of the selection pays.
 fn bench_gamma_kernel(c: &mut Criterion) {
     let net = cases::case118();
     let x0 = net.nominal_reactances();
@@ -47,6 +50,18 @@ fn bench_gamma_kernel(c: &mut Criterion) {
     });
     c.bench_function("gamma_state/case118", |b| {
         b.iter(|| basis.sin_sq_to(black_box(&h1)).unwrap())
+    });
+    let kernel = spa::GammaKernel::new(&net, &x0, &h0).unwrap();
+    let dfacts = net.dfacts_branches();
+    c.bench_function("gamma_state_at/case118", |b| {
+        b.iter(|| {
+            let x = black_box(&x1);
+            let state = kernel.sin_sq_at(&net, x).unwrap();
+            dfacts
+                .iter()
+                .map(|&l| state.gradient_entry(&net.measurement_matrix_derivative(x, l).unwrap()))
+                .sum::<f64>()
+        })
     });
 }
 

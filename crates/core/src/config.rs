@@ -8,15 +8,16 @@ use crate::MtdError;
 /// Configuration for MTD evaluation and selection.
 ///
 /// Defaults follow the paper's Section VII-A where the paper specifies a
-/// value; where it does not (noise σ), `DESIGN.md` documents the
-/// calibration.
+/// value; where it does not (noise σ), `crates/bench/src/paperconfig.rs`
+/// documents the calibration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MtdConfig {
     /// BDD false-positive rate α (paper: `5 × 10⁻⁴`).
     pub alpha: f64,
     /// Measurement-noise standard deviation, MW. The paper does not
     /// report its value; 0.10 MW (0.001 p.u.) reproduces the operating
-    /// point of Fig. 6(a) — η'(0.95) ≈ 0.97 at γ ≈ 0.44 (see DESIGN.md).
+    /// point of Fig. 6(a) — η'(0.95) ≈ 0.97 at γ ≈ 0.44 (see
+    /// `crates/bench/src/paperconfig.rs`).
     pub noise_sigma_mw: f64,
     /// Attack-magnitude scaling `‖a‖₁/‖z‖₁` (paper: ≈ 0.08).
     pub attack_ratio: f64,

@@ -136,7 +136,7 @@ fn sin_sq_gradient(
 }
 
 /// Maximizes `γ(H(x_pre), H(x))` over the D-FACTS box, ignoring cost,
-/// against the cached QR basis of `H(x_pre)` (behind
+/// on the cached low-rank γ kernel of `x_pre` (behind
 /// [`crate::MtdSession::max_gamma`]). Returns the maximizing reactance
 /// vector and the achieved angle — the feasibility ceiling for any
 /// `γ_th` of problem (4).
@@ -144,7 +144,7 @@ fn sin_sq_gradient(
 /// The search is multistart projected L-BFGS on `−sin²γ` with the same
 /// differentiable state, stamps and start-0 nudge as the problem-(4)
 /// search, budgeted by `cfg.n_starts` × `cfg.max_evals_per_start`. The
-/// reported angle is the exact [`spa::GammaBasis::gamma_to`] at the
+/// reported angle is the exact [`spa::GammaKernel::gamma_at`] at the
 /// returned point, never the optimizer's objective value.
 ///
 /// # Errors
@@ -154,7 +154,7 @@ fn sin_sq_gradient(
 pub(crate) fn max_achievable_gamma_with(
     net: &Network,
     x_pre: &[f64],
-    gamma_basis: &spa::GammaBasis,
+    kernel: &spa::GammaKernel,
     cfg: &MtdConfig,
 ) -> Result<(Vec<f64>, f64), MtdError> {
     let (dfacts, lo, hi) = dfacts_box(net, cfg.eta_max);
@@ -165,13 +165,8 @@ pub(crate) fn max_achievable_gamma_with(
     let objective_for = |_start: usize| {
         move |cand: &[f64], grad: Option<&mut [f64]>| -> f64 {
             let x = assemble(x_nom, dfacts_ref, cand);
-            let state = match net
-                .measurement_matrix(&x)
-                .map_err(MtdError::from)
-                .and_then(|h| gamma_basis.sin_sq_to(&h))
-            {
-                Ok(st) => st,
-                Err(_) => return f64::INFINITY,
+            let Ok(state) = kernel.sin_sq_at(net, &x) else {
+                return f64::INFINITY;
             };
             if let Some(g) = grad {
                 match sin_sq_gradient(net, &x, dfacts_ref, &state) {
@@ -200,7 +195,7 @@ pub(crate) fn max_achievable_gamma_with(
     // evaluation of the search failed, this surfaces the persistent
     // failure as its typed error rather than reporting a ceiling.
     let x = assemble(&x_nominal, &dfacts, &result.x);
-    let gamma = gamma_basis.gamma_to(&net.measurement_matrix(&x)?)?;
+    let gamma = kernel.gamma_at(net, &x)?;
     Ok((x, gamma))
 }
 
@@ -284,16 +279,16 @@ pub(crate) fn infeasible_baseline(e: MtdError) -> MtdError {
 pub(crate) fn select_mtd_seeded(
     net: &Network,
     x_pre: &[f64],
-    gamma_basis: &spa::GammaBasis,
+    kernel: &spa::GammaKernel,
     gamma_th: f64,
     cfg: &MtdConfig,
     baseline: &BaselineState,
 ) -> Result<MtdSelection, MtdError> {
     let search = SearchSetup::build(net, x_pre, cfg, baseline);
-    if let Some(sel) = run_gradient(&search, gamma_basis, gamma_th)? {
+    if let Some(sel) = run_gradient(&search, kernel, gamma_th)? {
         return Ok(sel);
     }
-    let (_, ceiling) = max_achievable_gamma_with(net, x_pre, gamma_basis, cfg)?;
+    let (_, ceiling) = max_achievable_gamma_with(net, x_pre, kernel, cfg)?;
     Err(MtdError::ThresholdUnreachable {
         requested: gamma_th,
         achieved: ceiling,
@@ -344,18 +339,17 @@ impl<'a> SearchSetup<'a> {
         }
     }
 
-    /// Audits a candidate with the exact γ against the cached basis and,
-    /// if it meets the threshold, prices it with a penalty-free OPF.
+    /// Audits a candidate with the exact γ of the cached kernel and, if
+    /// it meets the threshold, prices it with a penalty-free OPF.
     fn audit(
         &self,
-        gamma_basis: &spa::GammaBasis,
+        kernel: &spa::GammaKernel,
         gamma_th: f64,
         cand: &[f64],
     ) -> Result<Option<MtdSelection>, MtdError> {
         const TOL: f64 = 1e-3;
         let x_post = assemble(&self.x_nominal, &self.dfacts, cand);
-        let h_post = self.net.measurement_matrix(&x_post)?;
-        let gamma = gamma_basis.gamma_to(&h_post)?;
+        let gamma = kernel.gamma_at(self.net, &x_post)?;
         if gamma + TOL < gamma_th {
             return Ok(None);
         }
@@ -386,7 +380,7 @@ impl<'a> SearchSetup<'a> {
 /// round produced a candidate passing the exact-γ audit.
 fn run_gradient(
     search: &SearchSetup<'_>,
-    gamma_basis: &spa::GammaBasis,
+    kernel: &spa::GammaKernel,
     gamma_th: f64,
 ) -> Result<Option<MtdSelection>, MtdError> {
     let SearchSetup {
@@ -416,7 +410,7 @@ fn run_gradient(
 
     let threads = gridmtd_opf::parallel::available_threads();
     for round in 0..4 {
-        let (x_nominal, dfacts, gamma_basis) = (x_nominal, dfacts, gamma_basis);
+        let (x_nominal, dfacts, kernel) = (x_nominal, dfacts, kernel);
         let objective_for = |_start: usize| {
             let mut ctx = opf_proto.clone();
             move |cand: &[f64], grad: Option<&mut [f64]>| -> f64 {
@@ -432,13 +426,8 @@ fn run_gradient(
                         Err(_) => return f64::INFINITY,
                     }
                 };
-                let state = match net
-                    .measurement_matrix(&x)
-                    .map_err(MtdError::from)
-                    .and_then(|h| gamma_basis.sin_sq_to(&h))
-                {
-                    Ok(st) => st,
-                    Err(_) => return f64::INFINITY,
+                let Ok(state) = kernel.sin_sq_at(net, &x) else {
+                    return f64::INFINITY;
                 };
                 let s = state.value();
                 let deficit = (s_th - s).max(0.0);
@@ -470,7 +459,7 @@ fn run_gradient(
         // failed (an OPF or eigensolve error maps to +∞): there is no
         // candidate to audit, but the next round may still find one.
         if result.f.is_finite() {
-            if let Some(sel) = search.audit(gamma_basis, gamma_th, &result.x)? {
+            if let Some(sel) = search.audit(kernel, gamma_th, &result.x)? {
                 return Ok(Some(sel));
             }
         }

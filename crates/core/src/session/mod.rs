@@ -7,8 +7,10 @@
 //! after hour while the network graph never changes. Everything
 //! expensive in that loop is therefore reusable state:
 //!
-//! * the pre-perturbation measurement matrix `H(x_pre)` and its QR
-//!   basis ([`spa::GammaBasis`]) behind every subspace-angle query;
+//! * the pre-perturbation measurement matrix `H(x_pre)`, its QR basis
+//!   ([`spa::GammaBasis`]) behind every subspace-angle query on a dense
+//!   matrix, and the low-rank factor of the same `x_pre`
+//!   ([`spa::GammaKernel`]) behind every γ query of a selection;
 //! * the sparse power-flow symbolic factorization
 //!   ([`PfContext`], topology-keyed) behind every
 //!   DC-OPF and dispatch solve;
@@ -117,14 +119,14 @@ struct TopoCaches {
 
 /// Per-`x_pre` warm state, rebuilt lazily after every topology-value
 /// change. Everything a [`MtdSession::derive`]d sibling's overrides
-/// (seed, attack magnitude) cannot influence — `h_pre`, `basis`, the
+/// (seed, attack magnitude) cannot influence — `h_pre`, `gamma`, the
 /// pre-perturbation OPF and the no-MTD baseline — is shared (`Arc`)
 /// with derived batch sessions; the seed-dependent ensemble and γ
 /// ceiling stay per-session.
 #[derive(Debug, Default)]
 struct WarmCaches {
     h_pre: Arc<OnceLock<Matrix>>,
-    basis: Arc<OnceLock<spa::GammaBasis>>,
+    gamma: Arc<OnceLock<spa::GammaKernel>>,
     /// The OPF at `x_pre` with the context that solved it: read by
     /// [`MtdSession::opf_pre`], and its warmed simplex basis seeds every
     /// [`MtdSession::select`], so repeated selections skip the one cold
@@ -397,13 +399,24 @@ impl MtdSession {
         })
     }
 
-    /// The cached QR basis of `Col(H(x_pre))` behind every γ query.
+    /// The cached QR basis of `Col(H(x_pre))` behind every γ query on a
+    /// dense matrix (evaluation, keyspace, the timeline's reported
+    /// angles).
     ///
     /// # Errors
     ///
     /// Propagates numerical failures.
     pub fn gamma_basis(&self) -> Result<&spa::GammaBasis, MtdError> {
-        get_or_try(&self.warm.basis, || spa::GammaBasis::new(self.h_pre()?))
+        Ok(self.gamma_kernel()?.basis())
+    }
+
+    /// The cached γ kernel of `x_pre` behind every selection-side γ
+    /// query. It owns [`MtdSession::gamma_basis`]; its low-rank factor
+    /// is built on the first selection-side query.
+    fn gamma_kernel(&self) -> Result<&spa::GammaKernel, MtdError> {
+        get_or_try(&self.warm.gamma, || {
+            spa::GammaKernel::new(&self.net, &self.x_pre, self.h_pre()?)
+        })
     }
 
     /// The primed power-flow context prototype; solver loops clone it so
@@ -490,7 +503,7 @@ impl MtdSession {
                 selection::max_achievable_gamma_with(
                     &self.net,
                     &self.x_pre,
-                    self.gamma_basis()?,
+                    self.gamma_kernel()?,
                     &self.cfg,
                 )
             })
@@ -524,7 +537,7 @@ impl MtdSession {
     }
 
     /// Solves the SPA-constrained OPF of problem (4) for one threshold,
-    /// through the cached `H(x_pre)`, its QR basis, the shared
+    /// through the cached low-rank γ kernel of `x_pre`, the shared
     /// power-flow symbolic state and the simplex basis of the cached
     /// OPF at `x_pre` (see [`selection`] for the search).
     ///
@@ -543,7 +556,7 @@ impl MtdSession {
             selection::select_mtd_seeded(
                 &self.net,
                 &self.x_pre,
-                self.gamma_basis()?,
+                self.gamma_kernel()?,
                 gamma_threshold,
                 &self.cfg,
                 baseline,
@@ -889,11 +902,12 @@ impl MtdSession {
 
             let outcome = {
                 // 2. Attacker's knowledge: last hour's matrix — exactly the
-                // session's cached `H(x_pre)`/basis, built once per hour and
-                // shared by the ensemble, every γ-grid candidate's selection
-                // and the effectiveness evaluations.
+                // session's cached `H(x_pre)` and γ kernel, built once per
+                // hour and shared by the ensemble, every γ-grid candidate's
+                // selection and the effectiveness evaluations.
                 let h_stale = self.h_pre()?;
-                let stale_basis = self.gamma_basis()?;
+                let stale_kernel = self.gamma_kernel()?;
+                let stale_basis = stale_kernel.basis();
                 let h_now = self.net.measurement_matrix(&x_now)?;
 
                 // Attack ensemble against the stale matrix, scaled by the
@@ -943,7 +957,7 @@ impl MtdSession {
                             let sel = selection::select_mtd_seeded(
                                 &net_now,
                                 &self.x_pre,
-                                stale_basis,
+                                stale_kernel,
                                 gamma_th,
                                 &self.cfg,
                                 &sel_baseline,
@@ -1023,7 +1037,7 @@ impl MtdSession {
     /// Derives a sibling session for a per-request configuration
     /// override: the topology-keyed warm state and every cache the
     /// overridable knobs (seed, attack magnitude) cannot influence —
-    /// `H(x_pre)`, its basis, the pre-perturbation OPF, the no-MTD
+    /// `H(x_pre)`, its γ kernel, the pre-perturbation OPF, the no-MTD
     /// baseline — are shared, while the seed-dependent caches
     /// (ensemble, ceiling) start empty — exactly what a batch variant
     /// axis needs.
@@ -1043,7 +1057,7 @@ impl MtdSession {
             topo: self.topo.clone(),
             warm: WarmCaches {
                 h_pre: Arc::clone(&self.warm.h_pre),
-                basis: Arc::clone(&self.warm.basis),
+                gamma: Arc::clone(&self.warm.gamma),
                 opf_pre: Arc::clone(&self.warm.opf_pre),
                 baseline: Arc::clone(&self.warm.baseline),
                 ..WarmCaches::default()

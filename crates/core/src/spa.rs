@@ -20,11 +20,38 @@
 //! (the natural tool in the authors' toolchain) returns. This crate
 //! therefore uses the largest principal angle as the operational design
 //! metric [`gamma`], and keeps [`smallest_angle`] / [`angles`] available
-//! for analysis. `EXPERIMENTS.md` revisits this discrepancy.
+//! for analysis. Every evaluation reports both (`MtdEvaluation::gamma`
+//! and `MtdEvaluation::smallest_angle`), so the discrepancy stays visible
+//! in every result.
+//!
+//! # Two solvers of one pencil
+//!
+//! Every angle is read off the pencil `(B − A)c = s·Bc` against an
+//! orthonormal basis `Q₁` of `Col(H_pre)` ([`gridmtd_linalg::diff`]).
+//! [`GammaBasis`] solves it for any matrix pair on a dense `H'`: a
+//! `k × k` eigensolve per query. That is the path of [`gamma`],
+//! [`smallest_angle`], [`angles`], Theorem 1, evaluation, the keyspace
+//! trials and the timeline's reported angles, which make one query per
+//! operation and (evaluation) need `H'` for the detector anyway.
+//!
+//! The selection instead asks `sin²γ` and its gradient about a hundred
+//! times per call, always as a function of reactances. There `H(x)`
+//! differs from `H_pre` only on the lines `C` that `x` moves, so
+//! `B − A = ΔHᵀP⊥ΔH` has rank at most `|C| ≤ |L_D|` — the column-space
+//! intersection structure of Zhang et al., "Analysis of MTD Against FDI
+//! Attacks on Power Grid". [`GammaKernel`] caches `P⊥M_D` and its QR
+//! triangle per `x_pre` and solves the pencil on that `|L_D|`-dimensional
+//! range, from branch stamps, with no dense `H(x)`: the L-BFGS state and
+//! gradient, the exact-γ audit and the γ ceiling all take it. Both
+//! solvers agree to roundoff; neither is chosen at run time.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
-use gridmtd_linalg::{diff, subspace, Matrix};
+use gridmtd_linalg::diff::{self, LowRankPencil, SinSqState};
+use gridmtd_linalg::{subspace, LinalgError, Matrix, Qr};
+use gridmtd_powergrid::Network;
 
 use crate::MtdError;
 
@@ -107,6 +134,270 @@ impl GammaBasis {
     pub fn sin_sq_to(&self, h_post: &Matrix) -> Result<diff::SinSqState, MtdError> {
         Ok(diff::sin_sq_largest_angle(&self.basis, h_post)?)
     }
+}
+
+/// The selection's `sin²γ` kernel: `γ(H(x_pre), H(x))` as a function of
+/// the reactances `x`, solved on the low-rank range of the perturbation
+/// instead of on a dense `H(x)`.
+///
+/// `H(x) = M·diag(b(x))·A` ([`Network::branch_measurement_rows`]) moves
+/// only on the lines `C` whose susceptance differs from `x_pre`'s:
+/// `H(x) = H_pre + M_C·Δ·A_C` with `Δ = diag(b_C(x) − b_C(x_pre))`. The
+/// projector `P⊥ = I − Q₁Q₁ᵀ` onto `Col(H_pre)⊥` annihilates `H_pre`, so
+/// the left side of the pencil `(B − A)c = s·Bc` is
+///
+/// ```text
+/// B − A = H(x)ᵀP⊥H(x) = A_CᵀΔ·Y_CᵀY_C·ΔA_C = GᵀG,   G = R_C·Δ·A_C,
+/// ```
+///
+/// with `Y_C = P⊥M_C` and `R_C` its QR triangle (`Y_CᵀY_C = R_CᵀR_C`):
+/// rank at most `|C|`. Per `x_pre` the kernel caches `Y = P⊥M_S` and
+/// `R_Y` for the lines `S` a selection moves — the D-FACTS lines `L_D`,
+/// plus any line where `x_pre` is off its nominal value, since
+/// candidates are assembled from the nominal reactances. That factor is
+/// built on the first reactance query, so a session that only evaluates
+/// pays for the basis alone. Per candidate
+/// it assembles `B(x) = H(x)ᵀH(x)` from branch stamps
+/// ([`Network::measurement_gram`]) and solves the pencil on its
+/// `|S|`-dimensional range ([`LowRankPencil`]): one `k × k` Cholesky,
+/// one `k × |S|` forward solve and an `|S| × |S|` eigensolve, where the
+/// dense path builds `H(x)` and `Q₁ᵀH(x)` and solves a `k × k`
+/// eigenproblem. The gradient state needs only `v = H(x)c` (stamps) and
+/// `P⊥v = Y_C·Δ·A_C·c`.
+///
+/// Exact for any `x`: when `C ⊄ S` the columns of `Y_C` are projected
+/// and factored for that query alone. The value agrees with
+/// [`GammaBasis::sin_sq_to`] on the dense `H(x)` to roundoff (pinned to
+/// 1e-10 relative in `crates/core/tests/low_rank_gamma.rs`), and
+/// `x = x_pre` gives exactly `s = 0` with a zero gradient.
+#[derive(Debug, Clone)]
+pub struct GammaKernel {
+    basis: GammaBasis,
+    /// `b(x_pre)`, the reference the changed lines are read against.
+    b_pre: Vec<f64>,
+    /// The lines `S` the factor caches, ascending.
+    lines: Vec<usize>,
+    /// `P⊥M_S` and its QR triangle, built once on first use. A failed
+    /// build is kept too: it is a pure function of the basis and `S`.
+    factor: OnceLock<Result<RangeFactor, LinalgError>>,
+}
+
+/// The per-`x_pre` low-rank factor of a [`GammaKernel`].
+#[derive(Debug, Clone)]
+struct RangeFactor {
+    /// Column of `y`/`r_y` caching each branch (`None`: not in `S`).
+    slot: Vec<Option<usize>>,
+    /// `Y = P⊥M_S` (`m × |S|`).
+    y: Matrix,
+    /// `R_Y` of the thin QR of `Y` (`|S| × |S|`, upper triangular).
+    r_y: Matrix,
+}
+
+/// The range of one query's pencil: the changed lines `C`, their
+/// susceptance steps, and the factor columns holding them.
+struct PerturbationRange<'a> {
+    changed: Vec<usize>,
+    delta: Vec<f64>,
+    /// Column of the factor's `y` and `r_y` for each changed line.
+    cols: Vec<usize>,
+    factor: Cow<'a, RangeFactor>,
+}
+
+impl GammaKernel {
+    /// Builds the basis of `Col(H_pre)` for `x_pre`, counted once by
+    /// [`gamma_basis_builds`]; the low-rank factor follows on the first
+    /// reactance query. `h_pre` must be `net.measurement_matrix(x_pre)`
+    /// (the session passes its cached copy).
+    ///
+    /// # Errors
+    ///
+    /// Invalid reactances, an `h_pre` of the wrong shape, and the QR's
+    /// numerical failures.
+    pub fn new(net: &Network, x_pre: &[f64], h_pre: &Matrix) -> Result<GammaKernel, MtdError> {
+        let b_pre = net.susceptances(x_pre)?;
+        check_shape(net, h_pre)?;
+        let basis = GammaBasis::new(h_pre)?;
+        let nominal = net.nominal_reactances();
+        let lines = (0..net.n_branches())
+            .filter(|&l| net.branch(l).dfacts || x_pre[l] != nominal[l])
+            .collect();
+        Ok(GammaKernel {
+            basis,
+            b_pre,
+            lines,
+            factor: OnceLock::new(),
+        })
+    }
+
+    /// The dense basis of `Col(H_pre)`, for queries on arbitrary
+    /// matrices.
+    pub fn basis(&self) -> &GammaBasis {
+        &self.basis
+    }
+
+    /// `γ(H(x_pre), H(x))`, the largest principal angle, values only.
+    ///
+    /// # Errors
+    ///
+    /// Invalid reactances, a network of another shape, and the
+    /// Cholesky/eigensolver failures of [`LowRankPencil::solve`].
+    pub fn gamma_at(&self, net: &Network, x: &[f64]) -> Result<f64, MtdError> {
+        let range = self.range(net, x)?;
+        if range.changed.is_empty() {
+            return Ok(0.0);
+        }
+        Ok(pencil(net, x, &range)?.angle())
+    }
+
+    /// The differentiable `sin²γ` state at `x`, the state
+    /// [`GammaBasis::sin_sq_to`] builds from a dense `H(x)` up to
+    /// roundoff: its [`SinSqState::gradient_entry`] maps the stamps of
+    /// [`Network::measurement_matrix_derivative`] to `∂ sin²γ / ∂x_l`.
+    ///
+    /// # Errors
+    ///
+    /// As [`GammaKernel::gamma_at`].
+    pub fn sin_sq_at(&self, net: &Network, x: &[f64]) -> Result<SinSqState, MtdError> {
+        let range = self.range(net, x)?;
+        if range.changed.is_empty() {
+            let zeros = vec![0.0; net.n_measurements()];
+            let coeffs = vec![0.0; net.n_states()];
+            return Ok(SinSqState::from_residual(0.0, coeffs, &zeros, &zeros));
+        }
+        let pencil = pencil(net, x, &range)?;
+        let c = pencil.top_coeffs();
+        let hc = net.measurement_apply(x, &c)?;
+        // P⊥Hc = Y_C·(Δ·A_C·c): one `m × |S|` product.
+        let y = &range.factor.y;
+        let mut t = vec![0.0; y.cols()];
+        for ((&l, &d), &col) in range.changed.iter().zip(&range.delta).zip(&range.cols) {
+            let (from, to) = reduced_ends(net, l);
+            t[col] += d * (from.map_or(0.0, |i| c[i]) - to.map_or(0.0, |i| c[i]));
+        }
+        let residual = y.matvec(&t)?;
+        Ok(SinSqState::from_residual(
+            pencil.sin_sq(),
+            c,
+            &hc,
+            &residual,
+        ))
+    }
+
+    /// The changed lines of `x` and the cached — or, for lines outside
+    /// `S`, freshly projected — columns of `Y` and `R` that carry them.
+    fn range(&self, net: &Network, x: &[f64]) -> Result<PerturbationRange<'_>, MtdError> {
+        // `m = 2L + N` and `k = N − 1` fix the branch count too.
+        let q = self.basis.basis.q();
+        check_shape(net, q)?;
+        let b = net.susceptances(x)?;
+        let changed: Vec<usize> = (0..b.len()).filter(|&l| b[l] != self.b_pre[l]).collect();
+        let delta = changed.iter().map(|&l| b[l] - self.b_pre[l]).collect();
+        let factor = self
+            .factor
+            .get_or_init(|| RangeFactor::build(net, q, &self.lines))
+            .as_ref()
+            .map_err(|e| MtdError::Numerical(e.clone()))?;
+        let cached: Option<Vec<usize>> = changed.iter().map(|&l| factor.slot[l]).collect();
+        let (cols, factor) = match cached {
+            Some(cols) => (cols, Cow::Borrowed(factor)),
+            None => (
+                (0..changed.len()).collect(),
+                Cow::Owned(RangeFactor::build(net, q, &changed)?),
+            ),
+        };
+        Ok(PerturbationRange {
+            changed,
+            delta,
+            cols,
+            factor,
+        })
+    }
+}
+
+/// `GᵀG·c = s·B(x)·c` with `Gᵀ = A_CᵀΔR_Cᵀ`, on a nonempty range.
+fn pencil(
+    net: &Network,
+    x: &[f64],
+    range: &PerturbationRange<'_>,
+) -> Result<LowRankPencil, MtdError> {
+    // R is upper triangular: its rows past the last column of C are zero
+    // on C and drop out of G.
+    let rows = range.cols.iter().max().map_or(0, |&c| c + 1);
+    let mut gt = Matrix::zeros(net.n_states(), rows);
+    for ((&l, &d), &col) in range.changed.iter().zip(&range.delta).zip(&range.cols) {
+        let (from, to) = reduced_ends(net, l);
+        for j in 0..=col {
+            let coef = d * range.factor.r_y[(j, col)];
+            if let Some(f) = from {
+                gt[(f, j)] += coef;
+            }
+            if let Some(t) = to {
+                gt[(t, j)] -= coef;
+            }
+        }
+    }
+    Ok(LowRankPencil::solve(&net.measurement_gram(x)?, &gt)?)
+}
+
+/// A shape error unless `m` is `n_measurements × n_states` of `net`.
+fn check_shape(net: &Network, m: &Matrix) -> Result<(), MtdError> {
+    let want = (net.n_measurements(), net.n_states());
+    if m.shape() == want {
+        Ok(())
+    } else {
+        Err(LinalgError::ShapeMismatch {
+            op: "gamma_kernel",
+            lhs: m.shape(),
+            rhs: want,
+        }
+        .into())
+    }
+}
+
+/// Reduced-state columns of a branch's terminal buses (`None`: slack).
+fn reduced_ends(net: &Network, l: usize) -> (Option<usize>, Option<usize>) {
+    let br = net.branch(l);
+    (net.reduced_index(br.from), net.reduced_index(br.to))
+}
+
+impl RangeFactor {
+    fn build(net: &Network, q: &Matrix, lines: &[usize]) -> Result<RangeFactor, LinalgError> {
+        let mut slot = vec![None; net.n_branches()];
+        for (j, &l) in lines.iter().enumerate() {
+            slot[l] = Some(j);
+        }
+        let y = perp_columns(net, q, lines)?;
+        // `YᵀY = R_YᵀR_Y`; an empty `S` has an empty triangle.
+        let r_y = if lines.is_empty() {
+            Matrix::zeros(0, 0)
+        } else {
+            Qr::factor(&y)?.r()
+        };
+        Ok(RangeFactor { slot, y, r_y })
+    }
+}
+
+/// `P⊥M_lines = M_lines − Q₁(Q₁ᵀM_lines)` (`m × |lines|`), from the four
+/// signed rows of each stamp column.
+fn perp_columns(net: &Network, q: &Matrix, lines: &[usize]) -> Result<Matrix, LinalgError> {
+    let mut qt_m = Matrix::zeros(q.cols(), lines.len());
+    for (j, &l) in lines.iter().enumerate() {
+        for (row, sign) in net.branch_measurement_rows(l) {
+            for (i, &qi) in q.row(row).iter().enumerate() {
+                qt_m[(i, j)] += sign * qi;
+            }
+        }
+    }
+    let mut y = q.matmul(&qt_m)?;
+    for v in y.as_mut_slice() {
+        *v = -*v;
+    }
+    for (j, &l) in lines.iter().enumerate() {
+        for (row, sign) in net.branch_measurement_rows(l) {
+            y[(row, j)] += sign;
+        }
+    }
+    Ok(y)
 }
 
 /// The operational subspace angle `γ(H, H') ∈ [0, π/2]` — the largest

@@ -3,16 +3,18 @@
 //! The timeline loop (and the helpers under it) must *reuse* the stale
 //! measurement matrix, its QR basis and the post-perturbation matrix
 //! instead of reconstructing them per call: the matrices depend only on
-//! topology and reactances, not on the hour's loads. These tests pin
-//! the exact number of `Network::measurement_matrix` constructions the
-//! hoisted entry points are allowed, using the process-global build
-//! counters of `gridmtd_powergrid::stats`.
+//! topology and reactances, not on the hour's loads. A selection builds
+//! no dense `H` at all. These tests pin the exact number of
+//! `Network::measurement_matrix` constructions the hoisted entry points
+//! are allowed, using the process-global build counters of
+//! `gridmtd_powergrid::stats`, and the per-`x_pre` γ factor builds with
+//! `gridmtd_core::spa::gamma_basis_builds`.
 //!
 //! Everything lives in ONE `#[test]` in its own integration-test binary:
 //! the counters are process-global, so concurrently running tests would
 //! otherwise inflate the deltas.
 
-use gridmtd_core::{effectiveness, timeline, MtdConfig, MtdSession};
+use gridmtd_core::{effectiveness, spa, timeline, MtdConfig, MtdSession};
 use gridmtd_powergrid::{cases, stats};
 use gridmtd_traces::LoadTrace;
 
@@ -64,16 +66,32 @@ fn hoisted_paths_do_not_rebuild_fixed_matrices() {
     let (n, _) = builds_during(|| session.detection_probabilities(&x_post).unwrap());
     assert_eq!(n, 1);
 
-    // A warm selection builds only the per-candidate objective
-    // evaluations and audits; H(x_pre) is the session's.
-    let (n_select, _) = builds_during(|| session.select(0.05).unwrap());
+    // A warm selection builds no dense H at all: every objective
+    // evaluation, the exact-γ audit and the ceiling run on the session's
+    // low-rank γ kernel, which works from branch stamps. Repeated warm
+    // selections do not rebuild that per-x_pre factor either.
+    let kernels_before = spa::gamma_basis_builds();
+    let (n_select, first) = builds_during(|| session.select(0.05).unwrap());
+    assert_eq!(
+        n_select, 0,
+        "a warm select must build no dense H per evaluation"
+    );
+    let (n_again, again) = builds_during(|| session.select(0.05).unwrap());
+    assert_eq!(n_again, 0);
+    assert_eq!(first, again);
+    assert_eq!(
+        spa::gamma_basis_builds(),
+        kernels_before,
+        "repeated warm selects must not rebuild the per-x_pre γ factor"
+    );
 
     // Timeline: the per-hour fixed-reactance builds are bounded. Per
     // hour the loop itself builds h_stale, h_now and the audited
     // H(x_post) of the chosen selection — everything else (the
     // optimizer's objective evaluations, which genuinely vary x) is
     // charged to the candidate runs, measured here as the per-candidate
-    // warm-selection cost from above.
+    // warm-selection cost from above. The day's set-up, before the first
+    // hour, searches the spread D-FACTS corners: two H per corner pair.
     let trace = LoadTrace::new(vec![400.0, 450.0]);
     let opts = timeline::TimelineOptions {
         gamma_grid: vec![0.03, 0.05],
@@ -83,7 +101,20 @@ fn hoisted_paths_do_not_rebuild_fixed_matrices() {
         .config(cfg.clone())
         .build()
         .unwrap();
-    let (n_day, outcomes) = builds_during(|| day.simulate_day(&trace, &opts).unwrap());
+    let (n_begin, ()) = builds_during(|| day.begin_day(&trace, &opts).unwrap());
+    let corners = 1u64 << net.dfacts_branches().len();
+    assert_eq!(
+        n_begin,
+        2 * corners,
+        "begin_day builds two H per spread corner"
+    );
+    let (n_day, outcomes) = builds_during(|| {
+        let mut outcomes = Vec::new();
+        while day.hours_remaining() > 0 {
+            outcomes.push(day.step_hour().unwrap());
+        }
+        outcomes
+    });
     assert_eq!(outcomes.len(), 2);
     let candidate_budget = (n_select + 2) * opts.gamma_grid.len() as u64; // selection + evaluation + audit per candidate
     let per_hour_fixed = 3; // h_stale + h_now + final H(x_post)

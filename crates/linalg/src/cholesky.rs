@@ -53,24 +53,31 @@ impl Cholesky {
         let scale = a.max_abs().max(1.0);
         let tol = 1e-13 * scale;
         let mut l = a.clone();
-        for j in 0..n {
-            let mut d = l[(j, j)];
-            for k in 0..j {
-                let ljk = l[(j, k)];
-                d -= ljk * ljk;
+        // Row by row: entry (i, j < i) is `(a_ij − Σ_{k<j} l_ik·l_jk) / l_jj`
+        // and the pivot `a_ii − Σ_{k<i} l_ik²`, each sum taken with `k`
+        // ascending — the operations, in the order, of the column-by-column
+        // sweep, so the factor is bit-identical to it; only the memory walk
+        // is contiguous. The first pivot at or below `tol` is the same in
+        // both orders, since each pivot reads only earlier rows.
+        for i in 0..n {
+            let (done, rest) = l.as_mut_slice().split_at_mut(i * n);
+            let row_i = &mut rest[..n];
+            for j in 0..i {
+                let row_j = &done[j * n..j * n + j + 1];
+                let mut v = row_i[j];
+                for (lik, ljk) in row_i[..j].iter().zip(&row_j[..j]) {
+                    v -= lik * ljk;
+                }
+                row_i[j] = v / row_j[j];
+            }
+            let mut d = row_i[i];
+            for lik in &row_i[..i] {
+                d -= lik * lik;
             }
             if d <= tol {
                 return Err(LinalgError::NotPositiveDefinite);
             }
-            let dj = d.sqrt();
-            l[(j, j)] = dj;
-            for i in (j + 1)..n {
-                let mut v = l[(i, j)];
-                for k in 0..j {
-                    v -= l[(i, k)] * l[(j, k)];
-                }
-                l[(i, j)] = v / dj;
-            }
+            row_i[i] = d.sqrt();
         }
         Ok(Cholesky { l })
     }
@@ -210,6 +217,81 @@ mod tests {
             .matmul(&inv)
             .unwrap()
             .approx_eq(&Matrix::identity(2), 1e-12));
+    }
+
+    /// The column-by-column sweep the row-streamed factor replaced,
+    /// kept as the bit-identity reference.
+    fn indexed_factor(a: &Matrix) -> Option<Matrix> {
+        let n = a.rows();
+        let tol = 1e-13 * a.max_abs().max(1.0);
+        let mut l = a.clone();
+        for j in 0..n {
+            let mut d = l[(j, j)];
+            for k in 0..j {
+                let ljk = l[(j, k)];
+                d -= ljk * ljk;
+            }
+            if d <= tol {
+                return None;
+            }
+            let dj = d.sqrt();
+            l[(j, j)] = dj;
+            for i in (j + 1)..n {
+                let mut v = l[(i, j)];
+                for k in 0..j {
+                    v -= l[(i, k)] * l[(j, k)];
+                }
+                l[(i, j)] = v / dj;
+            }
+        }
+        Some(Matrix::from_fn(
+            n,
+            n,
+            |i, j| if j <= i { l[(i, j)] } else { 0.0 },
+        ))
+    }
+
+    /// Seeded SPD matrix `GᵀG + n·I` from a linear congruential stream.
+    fn seeded_spd(n: usize, seed: u64) -> Matrix {
+        let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+        let g = Matrix::from_fn(n + 3, n, |_, _| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) as f64) / f64::from(1u32 << 31) - 1.0
+        });
+        g.gram()
+            .try_add(&Matrix::identity(n).scale(n as f64))
+            .unwrap()
+    }
+
+    #[test]
+    fn row_streamed_factor_is_bit_identical_to_the_indexed_sweep() {
+        for (n, seed) in [
+            (1, 1u64),
+            (2, 2),
+            (7, 3),
+            (13, 4),
+            (40, 5),
+            (117, 6),
+            (120, 7),
+        ] {
+            let a = seeded_spd(n, seed);
+            let reference = indexed_factor(&a).expect("SPD by construction");
+            let l = Cholesky::factor(&a).unwrap().l();
+            assert!(
+                l.as_slice()
+                    .iter()
+                    .zip(reference.as_slice())
+                    .all(|(p, q)| p.to_bits() == q.to_bits()),
+                "n = {n}: factor differs from the indexed sweep"
+            );
+        }
+        // Both orders reject the same indefinite input.
+        let mut bad = seeded_spd(30, 8);
+        bad[(17, 17)] = -1.0;
+        assert!(indexed_factor(&bad).is_none());
+        assert!(Cholesky::factor(&bad).is_err());
     }
 
     #[test]

@@ -48,6 +48,21 @@
 //! measurement-matrix stamps of one branch have ≤ 8 nonzeros, so a full
 //! γ-gradient over all D-FACTS branches costs a handful of flops per
 //! branch on top of one eigensolve.
+//!
+//! # The low-rank form
+//!
+//! When `H` differs from a matrix inside `span(Q₁)` by a low-rank step —
+//! a reactance change on a few lines moves `H = M·diag(b)·A` only by
+//! `M_C·Δ·A_C` — the left side factors as `B − A = GᵀG` with `G` of
+//! `r ≪ k` rows. [`LowRankPencil`] then solves the same pencil on its
+//! `r`-dimensional range: with `F = L⁻¹Gᵀ`, the congruent matrix is
+//! `FFᵀ`, whose nonzero eigenvalues are those of the `r × r` matrix
+//! `K = FᵀF`, and a top eigenvector `z` of `K` maps back as
+//! `c = L⁻ᵀFz`. The caller forms `Hc` and `(I − P₁)Hc` from the same
+//! structure and hands them to [`SinSqState::from_residual`], so the
+//! gradient formula above is unchanged. `gridmtd_core::spa::GammaKernel`
+//! builds `G` from the grid's branch stamps; the dense solve stays the
+//! one for arbitrary matrix pairs.
 
 use crate::eigen::SymmetricEigen;
 use crate::subspace::OrthonormalBasis;
@@ -72,6 +87,30 @@ pub struct SinSqState {
 }
 
 impl SinSqState {
+    /// Assembles the state from a top eigenpair `(s, c)` and the two
+    /// products the gradient reads: `hc = Hc` and its residual
+    /// `residual = (I − P₁)Hc`. The row sensitivities are
+    /// `residual − s·hc`, which is `(1 − s)·Hc − P₁Hc`, and the
+    /// normalization is `‖Hc‖² = cᵀBc`. [`sin_sq_largest_angle`] forms
+    /// the products from a dense `H`; the low-rank kernel of
+    /// `gridmtd_core::spa` forms them from branch stamps.
+    ///
+    /// `value` is clamped to `[0, 1]`.
+    pub fn from_residual(value: f64, coeffs: Vec<f64>, hc: &[f64], residual: &[f64]) -> SinSqState {
+        let s = value.clamp(0.0, 1.0);
+        let weights = residual
+            .iter()
+            .zip(hc)
+            .map(|(&ri, &vi)| ri - s * vi)
+            .collect();
+        SinSqState {
+            value: s,
+            coeffs,
+            weights,
+            denom: vector::dot(hc, hc).max(1e-300),
+        }
+    }
+
     /// `sin²γ` of the largest principal angle.
     pub fn value(&self) -> f64 {
         self.value
@@ -149,9 +188,7 @@ fn backward_solve_transposed(l: &Matrix, rhs: &[f64]) -> Vec<f64> {
 struct Pencil {
     /// `T = Q₁ᵀH`.
     t: Matrix,
-    /// `B = HᵀH`.
-    b: Matrix,
-    /// Cholesky factor `L` of `B`.
+    /// Cholesky factor `L` of `B = HᵀH`.
     l: Matrix,
     /// Eigenvalues of `M = L⁻¹(B − A)L⁻ᵀ` (non-increasing), and any
     /// one eigenvector on request.
@@ -189,7 +226,7 @@ fn solve_pencil(q1: &OrthonormalBasis, h: &Matrix) -> Result<Pencil, LinalgError
     let w_half = forward_solve_matrix(&l, &c_mat); // L⁻¹(B−A)
     let m = forward_solve_matrix(&l, &w_half.transpose()); // L⁻¹(B−A)ᵀL⁻ᵀ = M
     let eig = SymmetricEigen::compute(&m)?;
-    Ok(Pencil { t, b, l, eig })
+    Ok(Pencil { t, l, eig })
 }
 
 /// Computes the differentiable `sin²γ` state between `q1` (orthonormal
@@ -205,9 +242,8 @@ fn solve_pencil(q1: &OrthonormalBasis, h: &Matrix) -> Result<Pencil, LinalgError
 /// [`LinalgError`] if the shapes differ or `HᵀH` is not positive
 /// definite (rank-deficient `h`).
 pub fn sin_sq_largest_angle(q1: &OrthonormalBasis, h: &Matrix) -> Result<SinSqState, LinalgError> {
-    let Pencil { t, b, l, eig } = solve_pencil(q1, h)?;
+    let Pencil { t, l, eig } = solve_pencil(q1, h)?;
     let s = eig.values().first().copied().unwrap_or(0.0);
-    let s = s.clamp(0.0, 1.0);
     let w = eig.vector(0);
     let mut z = backward_solve_transposed(&l, &w); // c = L⁻ᵀw
     let z_norm = vector::norm2(&z).max(1e-300);
@@ -218,19 +254,82 @@ pub fn sin_sq_largest_angle(q1: &OrthonormalBasis, h: &Matrix) -> Result<SinSqSt
     let v = h.matvec(&z)?; // Hc
     let tc = t.matvec(&z)?;
     let u = q1.q().matvec(&tc)?; // P₁Hc = Q₁(Q₁ᵀH)c
-    let bz = b.matvec(&z)?;
-    let denom = vector::dot(&z, &bz).max(1e-300);
-    let weights: Vec<f64> = v
-        .iter()
-        .zip(u.iter())
-        .map(|(&vi, &ui)| (1.0 - s) * vi - ui)
-        .collect();
-    Ok(SinSqState {
-        value: s,
-        coeffs: z,
-        weights,
-        denom,
-    })
+    let residual: Vec<f64> = v.iter().zip(&u).map(|(vi, ui)| vi - ui).collect();
+    Ok(SinSqState::from_residual(s, z, &v, &residual))
+}
+
+/// The pencil `(B − A) c = s·Bc` when its left side is known in
+/// factored low-rank form `B − A = GᵀG`, with `G` of `r ≪ k` rows,
+/// solved on its `r`-dimensional range.
+///
+/// With `B = LLᵀ` and `F = L⁻¹Gᵀ` (`k × r`), the congruent matrix
+/// `L⁻¹(B − A)L⁻ᵀ = FFᵀ` shares its nonzero eigenvalues with the small
+/// `K = FᵀF` (`r × r`), and a top eigenvector `z` of `K` maps to the
+/// pencil's through `c = L⁻ᵀFz`. The `k × k` eigensolve of the dense
+/// pencil becomes one Cholesky factorization, one `k × r` forward solve
+/// and an `r × r` eigensolve.
+#[derive(Debug, Clone)]
+pub struct LowRankPencil {
+    /// Cholesky factor `L` of `B`.
+    l: Matrix,
+    /// `F = L⁻¹Gᵀ`.
+    f: Matrix,
+    /// Eigenvalues of `K = FᵀF` (non-increasing), one eigenvector on
+    /// request.
+    eig: SymmetricEigen,
+}
+
+impl LowRankPencil {
+    /// Factors `b` (`k × k`, symmetric positive definite; only its lower
+    /// triangle is read) and solves the pencil of `gt = Gᵀ` (`k × r`).
+    ///
+    /// # Errors
+    ///
+    /// * [`LinalgError::ShapeMismatch`] if `b` is not `k × k` for the
+    ///   `k` rows of `gt`.
+    /// * [`LinalgError::Empty`] if `gt` has no columns.
+    /// * [`LinalgError::NotPositiveDefinite`] if `b` is not positive
+    ///   definite, and the eigensolver's failures.
+    pub fn solve(b: &Matrix, gt: &Matrix) -> Result<LowRankPencil, LinalgError> {
+        if !b.is_square() || b.rows() != gt.rows() {
+            return Err(LinalgError::ShapeMismatch {
+                op: "low_rank_pencil",
+                lhs: b.shape(),
+                rhs: gt.shape(),
+            });
+        }
+        let l = Cholesky::factor(b)?.l();
+        let f = forward_solve_matrix(&l, gt);
+        let eig = SymmetricEigen::compute(&f.gram())?;
+        Ok(LowRankPencil { l, f, eig })
+    }
+
+    /// The top eigenvalue `s = sin²γ`, clamped to `[0, 1]`.
+    pub fn sin_sq(&self) -> f64 {
+        self.eig.values()[0].clamp(0.0, 1.0)
+    }
+
+    /// The largest principal angle `γ = asin(√s)` (radians, `[0, π/2]`).
+    pub fn angle(&self) -> f64 {
+        angle_of_sin_sq(self.sin_sq())
+    }
+
+    /// The top generalized eigenvector `c = L⁻ᵀFz`, scaled to unit
+    /// 2-norm (all zeros when `G = 0`, where every `c` is one).
+    pub fn top_coeffs(&self) -> Vec<f64> {
+        let w = self
+            .f
+            .matvec(&self.eig.vector(0))
+            .expect("F has as many columns as K has rows");
+        let mut c = backward_solve_transposed(&self.l, &w);
+        let norm = vector::norm2(&c);
+        if norm > 0.0 {
+            for ci in &mut c {
+                *ci /= norm;
+            }
+        }
+        c
+    }
 }
 
 /// `sin²θ` of every principal angle between `q1` and `Col(h)`, each
@@ -328,6 +427,33 @@ mod tests {
                 "entry ({row},{col}): analytic {analytic} vs fd {fd}"
             );
         }
+    }
+
+    #[test]
+    fn low_rank_pencil_matches_the_dense_pencil_on_a_rank_one_step() {
+        // H₂ = H₁ + u·vᵀ: B − A = H₂ᵀP⊥H₂ = (‖P⊥u‖·v)(‖P⊥u‖·v)ᵀ.
+        let h1 = lcg_matrix(14, 5, 5);
+        let u = lcg_matrix(14, 1, 6);
+        let v = lcg_matrix(1, 5, 7);
+        let h2 = h1.try_add(&u.matmul(&v).unwrap()).unwrap();
+        let q1 = OrthonormalBasis::new(&h1).unwrap();
+        let q = q1.q();
+        let pu = u
+            .try_sub(&q.matmul(&q.transpose().matmul(&u).unwrap()).unwrap())
+            .unwrap();
+        let gt = v.transpose().scale(pu.frobenius_norm());
+        let pencil = LowRankPencil::solve(&h2.gram(), &gt).unwrap();
+        let dense = sin_sq_largest_angle(&q1, &h2).unwrap();
+        assert!((pencil.sin_sq() - dense.value()).abs() <= 1e-12);
+        assert!((pencil.angle() - dense.angle()).abs() <= 1e-9);
+        let c = pencil.top_coeffs();
+        assert!((vector::norm2(&c) - 1.0).abs() <= 1e-12);
+        let align = vector::dot(&c, &dense.coeffs).abs();
+        assert!((align - 1.0).abs() <= 1e-9, "|cᵀc_dense| = {align}");
+        assert_eq!(
+            LowRankPencil::solve(&h2.gram(), &Matrix::zeros(5, 0)).unwrap_err(),
+            LinalgError::Empty
+        );
     }
 
     #[test]

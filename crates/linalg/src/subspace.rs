@@ -15,6 +15,11 @@
 //! `k×k` Cholesky factorization and one values-only symmetric
 //! eigensolve: no eigenvector is computed for an angle.
 //!
+//! This module serves arbitrary matrix pairs. When the second space is a
+//! low-rank step away from the first — a grid whose reactances move on a
+//! few lines — the same pencil is cheaper on the step's range
+//! ([`crate::diff::LowRankPencil`]); the MTD selection takes that form.
+//!
 //! Angles lie in `[0, π/2]`: `0` for a shared direction, `π/2` for a
 //! direction orthogonal to the other space.
 

@@ -11,7 +11,8 @@ use crate::{Branch, Bus, Generator, Network};
 /// paper's Table II exactly: dispatch (350, 150) MW, flows
 /// (126.56, 173.44, −43.44, −26.56) MW, OPF cost $1.15 × 10⁴.
 ///
-/// Line flow limits are calibrated (see `DESIGN.md`) so that the
+/// Line flow limits are calibrated here (`tests/paper_tables.rs` pins
+/// the result) so that the
 /// post-perturbation redispatch of Table III is reproduced to within
 /// ~0.4 MW / 0.05% of cost, under the paper's `η = 0.2` reactance
 /// perturbations (`x'_k = 1.2 x_k`): lines 1 and 2 are flow-limited just

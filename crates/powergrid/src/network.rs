@@ -423,6 +423,122 @@ impl Network {
         Ok(h.without_col(self.slack))
     }
 
+    /// The measurement rows that carry branch `l`'s susceptance, with
+    /// their signs: forward flow `+b(θf−θt)`, reverse flow `−b(θf−θt)`,
+    /// injection at `from` `+b(θf−θt)`, injection at `to` `−b(θf−θt)`.
+    ///
+    /// This is column `l` of the fixed matrix `M` in the factorization
+    /// `H(x) = M·diag(b(x))·A` of [`Network::measurement_matrix`], where
+    /// row `l` of `A` is `e_from − e_to` in the slack-reduced state
+    /// space: a reactance change on a set of lines moves `H` only by
+    /// `M_C·diag(Δb_C)·A_C`, a matrix of rank at most the set's size.
+    ///
+    /// # Panics
+    ///
+    /// If `branch` is out of range.
+    pub fn branch_measurement_rows(&self, branch: usize) -> [(usize, f64); 4] {
+        let nl = self.n_branches();
+        let br = &self.branches[branch];
+        [
+            (branch, 1.0),
+            (nl + branch, -1.0),
+            (2 * nl + br.from, 1.0),
+            (2 * nl + br.to, -1.0),
+        ]
+    }
+
+    /// The Gram matrix `H(x)ᵀH(x)` (`(N−1) × (N−1)`, both triangles),
+    /// assembled straight from the branch stamps without the dense `H`.
+    ///
+    /// With `H = M·diag(b)·A` ([`Network::branch_measurement_rows`]),
+    /// the forward and reverse flow rows contribute
+    /// `2·Aᵀdiag(b²)A` and the injection rows `L̃ᵀL̃`, where row `i` of
+    /// the slack-column-reduced Laplacian `L̃` is sparse (the bus and its
+    /// neighbours). The cost is `O(Σ_i deg(i)²)` plus zeroing the
+    /// output; no `H` is built, so [`crate::stats`] counts nothing. Agrees
+    /// with `measurement_matrix(x)?.gram()` to roundoff (the sums run in
+    /// another order).
+    ///
+    /// # Errors
+    ///
+    /// See [`Network::check_reactances`].
+    pub fn measurement_gram(&self, x: &[f64]) -> Result<Matrix, GridError> {
+        let b = self.susceptances(x)?;
+        let k = self.n_states();
+        let mut g = Matrix::zeros(k, k);
+        // Injection row i of L̃: Σ b_l at the bus's own column, −b_l at
+        // each neighbour's (parallel lines repeat a neighbour, which the
+        // outer product below sums correctly).
+        let mut own = vec![0.0_f64; self.n_buses()];
+        let mut neighbours: Vec<Vec<(usize, f64)>> = vec![Vec::new(); self.n_buses()];
+        for (l, br) in self.branches.iter().enumerate() {
+            let (rf, rt) = (self.reduced_index(br.from), self.reduced_index(br.to));
+            let alpha = [(rf, 1.0), (rt, -1.0)];
+            let two_b2 = 2.0 * b[l] * b[l];
+            for &(p, ap) in &alpha {
+                for &(q, aq) in &alpha {
+                    if let (Some(p), Some(q)) = (p, q) {
+                        g[(p, q)] += two_b2 * ap * aq;
+                    }
+                }
+            }
+            own[br.from] += b[l];
+            own[br.to] += b[l];
+            if let Some(t) = rt {
+                neighbours[br.from].push((t, -b[l]));
+            }
+            if let Some(f) = rf {
+                neighbours[br.to].push((f, -b[l]));
+            }
+        }
+        let mut row = Vec::new();
+        for (bus, nbrs) in neighbours.iter().enumerate() {
+            row.clear();
+            if let Some(i) = self.reduced_index(bus) {
+                row.push((i, own[bus]));
+            }
+            row.extend_from_slice(nbrs);
+            for &(p, vp) in &row {
+                for &(q, vq) in &row {
+                    g[(p, q)] += vp * vq;
+                }
+            }
+        }
+        Ok(g)
+    }
+
+    /// The product `H(x)·c` for a reduced-state vector `c`, from the
+    /// branch stamps without the dense `H`: the flow rows are
+    /// `±b_l(c_from − c_to)` and each injection sums the flows leaving
+    /// its bus. Agrees with `measurement_matrix(x)?.matvec(c)` to
+    /// roundoff.
+    ///
+    /// # Errors
+    ///
+    /// See [`Network::check_reactances`]; additionally
+    /// [`GridError::DimensionMismatch`] if `c` is not of length `N − 1`.
+    pub fn measurement_apply(&self, x: &[f64], c: &[f64]) -> Result<Vec<f64>, GridError> {
+        let b = self.susceptances(x)?;
+        if c.len() != self.n_states() {
+            return Err(GridError::DimensionMismatch {
+                what: "reduced state vector",
+                expected: self.n_states(),
+                actual: c.len(),
+            });
+        }
+        let nl = self.n_branches();
+        let angle = |bus: usize| self.reduced_index(bus).map_or(0.0, |i| c[i]);
+        let mut v = vec![0.0_f64; self.n_measurements()];
+        for (l, br) in self.branches.iter().enumerate() {
+            let f = b[l] * (angle(br.from) - angle(br.to));
+            v[l] = f;
+            v[nl + l] = -f;
+            v[2 * nl + br.from] += f;
+            v[2 * nl + br.to] -= f;
+        }
+        Ok(v)
+    }
+
     /// Sparse derivative stamp `∂H/∂x_l` of the DC measurement matrix
     /// with respect to one branch reactance, as
     /// `(row, reduced column, value)` triplets.
@@ -452,21 +568,12 @@ impl Network {
                 actual: branch,
             });
         }
-        let nl = self.n_branches();
         let br = &self.branches[branch];
         let db = -self.base_mva / (x[branch] * x[branch]);
         let rf = self.reduced_index(br.from);
         let rt = self.reduced_index(br.to);
         let mut triplets = Vec::with_capacity(8);
-        // Signed copies of b_l in H, per row: forward flow `+b(θf−θt)`,
-        // reverse flow `−b(θf−θt)`, injection at `from` `+b(θf−θt)`,
-        // injection at `to` `−b(θf−θt)`.
-        for (row, sign) in [
-            (branch, 1.0),
-            (nl + branch, -1.0),
-            (2 * nl + br.from, 1.0),
-            (2 * nl + br.to, -1.0),
-        ] {
+        for (row, sign) in self.branch_measurement_rows(branch) {
             if let Some(col) = rf {
                 triplets.push((row, col, sign * db));
             }
@@ -583,6 +690,40 @@ mod tests {
             assert!(s.abs() < 1e-9);
         }
         assert!(b.is_symmetric(1e-12));
+    }
+
+    #[test]
+    fn stamp_products_match_the_dense_measurement_matrix() {
+        for net in [tiny(), crate::cases::case14(), crate::cases::case57()] {
+            let mut x = net.nominal_reactances();
+            for (l, xl) in x.iter_mut().enumerate() {
+                *xl *= 1.0 + 0.03 * (l % 7) as f64;
+            }
+            let h = net.measurement_matrix(&x).unwrap();
+            let g = net.measurement_gram(&x).unwrap();
+            let dense = h.gram();
+            let scale = dense.max_abs();
+            for (p, q) in g.as_slice().iter().zip(dense.as_slice()) {
+                assert!((p - q).abs() <= 1e-12 * scale, "{}: {p} vs {q}", net.name());
+            }
+            let c: Vec<f64> = (0..net.n_states()).map(|i| (i as f64).sin()).collect();
+            let v = net.measurement_apply(&x, &c).unwrap();
+            let dense_v = h.matvec(&c).unwrap();
+            let vmax = dense_v.iter().fold(0.0_f64, |m, d| m.max(d.abs()));
+            for (p, q) in v.iter().zip(&dense_v) {
+                assert!((p - q).abs() <= 1e-12 * vmax, "{}: {p} vs {q}", net.name());
+            }
+            // The flow rows of a branch's stamp column hold ±b_l alone.
+            let b = net.susceptances(&x).unwrap();
+            for (l, br) in net.branches().iter().enumerate() {
+                if let Some(f) = net.reduced_index(br.from) {
+                    for (row, sign) in &net.branch_measurement_rows(l)[..2] {
+                        assert_eq!(h[(*row, f)], sign * b[l]);
+                    }
+                }
+            }
+            assert!(net.measurement_apply(&x, &c[1..]).is_err());
+        }
     }
 
     #[test]

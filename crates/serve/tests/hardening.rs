@@ -220,7 +220,7 @@ fn client_retry_surrenders_the_last_overloaded_answer_at_budget_end() {
     .unwrap();
     let mut occupier = Client::connect(server.local_addr()).unwrap();
     occupier
-        .send_raw(&select_frame(1, "case57", 3, 0.01, ""))
+        .send_raw(&select_frame(1, "case118", 3, 0.01, ""))
         .unwrap();
     for _ in 0..400 {
         if server.stats().requests >= 1 {
@@ -231,13 +231,13 @@ fn client_retry_surrenders_the_last_overloaded_answer_at_budget_end() {
     // Fill the one queue slot so every retry attempt below sheds. The
     // frame races the probe below to the slot; whichever loses is shed,
     // and only then is the slot known to be taken (the worker is still
-    // busy with the case57 select).
+    // busy with the case118 select).
     occupier
-        .send_raw(&select_frame(2, "case57", 3, 0.012, ""))
+        .send_raw(&select_frame(2, "case118", 3, 0.012, ""))
         .unwrap();
     let mut probe = Client::connect(server.local_addr()).unwrap();
     probe
-        .send_raw(&select_frame(3, "case57", 3, 0.014, ""))
+        .send_raw(&select_frame(3, "case118", 3, 0.014, ""))
         .unwrap();
     for _ in 0..400 {
         if server.stats().shed >= 1 {

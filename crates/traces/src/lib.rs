@@ -4,7 +4,8 @@
 //! NYISO hourly load trace of 25-Jan-2016. That dataset is not
 //! redistributable here, so [`nyiso_winter_weekday`] provides a
 //! deterministic synthetic winter-weekday profile with the same
-//! qualitative structure the experiments depend on (see `DESIGN.md`):
+//! qualitative structure the experiments depend on (see the calibration
+//! notes of `docs/REPRODUCING.md`):
 //! an overnight trough, a morning ramp, a midday plateau and an evening
 //! peak at 6–7 PM, with strong hour-to-hour correlation. The trace is
 //! expressed as *scaling factors* that multiply a case's nominal loads.

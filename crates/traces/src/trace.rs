@@ -105,11 +105,13 @@ impl LoadTrace {
 /// Fig. 10 axis shows 140–220 MW, but with the Table IV generators and
 /// 160/60 MW line limits those loads never congest once reactances are
 /// free within the D-FACTS box, so its nonzero MTD costs are only
-/// reachable at a slightly higher operating point (see EXPERIMENTS.md).
+/// reachable at a slightly higher operating point, which is why this
+/// profile peaks near the nominal load.
 ///
 /// This is a **substitution** for the non-redistributable NYISO trace of
-/// 25-Jan-2016 (see `DESIGN.md`): any smooth profile with a realistic
-/// trough/peak structure and strong hour-to-hour correlation exercises
+/// 25-Jan-2016 (see the calibration notes of `docs/REPRODUCING.md`): any
+/// smooth profile with a realistic trough/peak structure and strong
+/// hour-to-hour correlation exercises
 /// the same code paths (hourly OPF, measurement-matrix drift
 /// `γ(H_t, H_t') ≈ 0`, congestion-driven MTD cost at peak hours).
 pub fn nyiso_winter_weekday() -> LoadTrace {

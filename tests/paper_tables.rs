@@ -1,5 +1,6 @@
 //! Regression tests pinning the 4-bus reproduction of the paper's
-//! Tables I–III (the calibration targets of `DESIGN.md`).
+//! Tables I–III (the calibration targets documented on
+//! `gridmtd_powergrid::cases::case4`).
 
 use gridmtd::mtd::theory;
 use gridmtd::opf::{solve_opf, solve_opf_nominal, OpfOptions};
