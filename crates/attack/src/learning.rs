@@ -73,35 +73,38 @@ impl SubspaceLearner {
         };
         Some(svd.u().submatrix(0, self.m, 0, dim.min(n)))
     }
+}
 
-    /// Crafts an attack inside the estimated subspace: a random direction
-    /// in the span of the top `dim` principal components, scaled to
-    /// `‖a‖₁/‖z_ref‖₁ = ratio`.
-    ///
-    /// Returns `None` if the basis is not yet estimable.
-    pub fn craft_attack<R: Rng + ?Sized>(
-        &self,
-        dim: usize,
-        z_ref: &[f64],
-        ratio: f64,
-        rng: &mut R,
-    ) -> Option<FdiAttack> {
-        let basis = self.estimate_basis(dim)?;
-        let c: Vec<f64> = (0..basis.cols())
-            .map(|_| normal::sample_standard(rng))
-            .collect();
-        let raw = basis.matvec(&c).ok()?;
-        let z_norm = gridmtd_linalg::vector::norm1(z_ref);
-        let a_norm = gridmtd_linalg::vector::norm1(&raw);
-        if a_norm == 0.0 || z_norm == 0.0 {
-            return None;
-        }
-        let s = ratio * z_norm / a_norm;
-        Some(FdiAttack {
-            vector: gridmtd_linalg::vector::scale(s, &raw),
-            c: gridmtd_linalg::vector::scale(s, &c),
-        })
+/// Crafts an attack inside an estimated subspace: a random direction in
+/// the span of `basis` (the top principal components from
+/// [`SubspaceLearner::estimate_basis`]), scaled to
+/// `‖a‖₁/‖z_ref‖₁ = ratio`.
+///
+/// Estimate the basis once per snapshot count and craft every probe from
+/// it: the estimate is a full SVD of the snapshot matrix, the crafting a
+/// matrix–vector product.
+///
+/// Returns `None` for a degenerate (all-zero) direction or reference.
+pub fn craft_attack<R: Rng + ?Sized>(
+    basis: &Matrix,
+    z_ref: &[f64],
+    ratio: f64,
+    rng: &mut R,
+) -> Option<FdiAttack> {
+    let c: Vec<f64> = (0..basis.cols())
+        .map(|_| normal::sample_standard(rng))
+        .collect();
+    let raw = basis.matvec(&c).ok()?;
+    let z_norm = gridmtd_linalg::vector::norm1(z_ref);
+    let a_norm = gridmtd_linalg::vector::norm1(&raw);
+    if a_norm == 0.0 || z_norm == 0.0 {
+        return None;
     }
+    let s = ratio * z_norm / a_norm;
+    Some(FdiAttack {
+        vector: gridmtd_linalg::vector::scale(s, &raw),
+        c: gridmtd_linalg::vector::scale(s, &c),
+    })
 }
 
 #[cfg(test)]
@@ -182,9 +185,10 @@ mod tests {
         for (k, z) in zs.iter().enumerate() {
             learner.observe(z);
             if k + 1 == 16 || k + 1 == 800 {
+                let basis = learner.estimate_basis(13).unwrap();
                 let mut pds = Vec::new();
                 for _ in 0..50 {
-                    let a = learner.craft_attack(13, &z_ref, 0.08, &mut rng).unwrap();
+                    let a = craft_attack(&basis, &z_ref, 0.08, &mut rng).unwrap();
                     pds.push(bdd.detection_probability(&a.vector).unwrap());
                 }
                 let mean = gridmtd_stats::empirical::mean(&pds);

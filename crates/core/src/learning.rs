@@ -21,7 +21,7 @@
 
 use std::sync::Mutex;
 
-use gridmtd_attack::SubspaceLearner;
+use gridmtd_attack::{learning, SubspaceLearner};
 use gridmtd_estimation::{EstimatorContext, NoiseModel};
 use gridmtd_powergrid::{dcpf, Network};
 use rand::rngs::StdRng;
@@ -173,10 +173,12 @@ pub(crate) fn attacker_learning_study_impl(
             crate::seedstream::domain(cfg.seed, 0xbee5),
             n as u64,
         ));
+        // One subspace estimate (an SVD of the snapshot matrix) serves
+        // every probe of the checkpoint.
+        let basis = learner.estimate_basis(dim).ok_or(MtdError::Infeasible)?;
         let mut probs = Vec::with_capacity(opts.n_probe_attacks);
         for _ in 0..opts.n_probe_attacks {
-            let attack = learner
-                .craft_attack(dim, &z_ref, cfg.attack_ratio, &mut probe_rng)
+            let attack = learning::craft_attack(&basis, &z_ref, cfg.attack_ratio, &mut probe_rng)
                 .ok_or(MtdError::Infeasible)?;
             probs.push(bdd.detection_probability(&attack.vector)?);
         }
