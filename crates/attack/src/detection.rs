@@ -84,8 +84,8 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// Build pre-perturbation H, post-perturbation BDD and the
-    /// post-perturbation operating point's measurements.
+    /// Build pre- and post-perturbation H, post-perturbation BDD and
+    /// the post-perturbation operating point's measurements.
     ///
     /// The MTD alternates ±45% across the six D-FACTS lines: sign-mixed
     /// perturbations rotate the column space far more than uniform
@@ -94,6 +94,7 @@ mod tests {
     /// the paper-scale experiments in `gridmtd-core` calibrate σ against
     /// the optimized perturbations of problem (4).
     fn mtd_scenario() -> (
+        gridmtd_linalg::Matrix,
         gridmtd_linalg::Matrix,
         BadDataDetector,
         Vec<f64>,
@@ -108,17 +109,17 @@ mod tests {
         }
         let h_post = net.measurement_matrix(&x_post).unwrap();
         let noise = NoiseModel::uniform(h_post.rows(), 0.1);
-        let est = StateEstimator::new(h_post, &noise).unwrap();
+        let est = StateEstimator::new(h_post.clone(), &noise).unwrap();
         let bdd = BadDataDetector::new(est, 5e-4);
         // The attacker injects into the *perturbed* grid: the true
         // measurements come from the post-MTD power flow.
         let pf = dcpf::solve_dispatch(&net, &x_post, &[150.0, 40.0, 20.0, 30.0, 19.0]).unwrap();
-        (h_pre, bdd, pf.measurement_vector(), noise)
+        (h_pre, h_post, bdd, pf.measurement_vector(), noise)
     }
 
     #[test]
     fn stale_attacks_become_detectable_under_mtd() {
-        let (h_pre, bdd, z, _) = mtd_scenario();
+        let (h_pre, _, bdd, z, _) = mtd_scenario();
         let mut rng = StdRng::seed_from_u64(17);
         let attacks = crate::random_attack_set(&h_pre, &z, 0.08, 64, &mut rng).unwrap();
         let pds = detection_probabilities(&bdd, &attacks).unwrap();
@@ -135,8 +136,7 @@ mod tests {
     #[test]
     fn fresh_attacks_stay_stealthy() {
         // Attacks crafted against the detector's own H have PD = alpha.
-        let (_, bdd, z, _) = mtd_scenario();
-        let h_post = bdd.estimator().h().clone();
+        let (_, h_post, bdd, z, _) = mtd_scenario();
         let mut rng = StdRng::seed_from_u64(19);
         let attacks = crate::random_attack_set(&h_post, &z, 0.08, 16, &mut rng).unwrap();
         for pd in detection_probabilities(&bdd, &attacks).unwrap() {
@@ -146,7 +146,7 @@ mod tests {
 
     #[test]
     fn analytic_matches_monte_carlo() {
-        let (h_pre, bdd, z, noise) = mtd_scenario();
+        let (h_pre, _, bdd, z, noise) = mtd_scenario();
         let mut rng = StdRng::seed_from_u64(23);
         let attack = crate::FdiAttack::random_scaled(&h_pre, &z, 0.08, &mut rng).unwrap();
         let analytic = bdd.detection_probability(&attack.vector).unwrap();

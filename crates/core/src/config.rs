@@ -101,7 +101,8 @@ impl MtdConfig {
     }
 
     /// Validates the numeric fields, rejecting NaN and out-of-range
-    /// thresholds with a typed [`MtdError::InvalidConfig`].
+    /// thresholds and zero budgets with a typed
+    /// [`MtdError::InvalidConfig`].
     ///
     /// [`crate::MtdSession`] construction runs this up front, so a bad
     /// configuration fails at the session boundary with the field name
@@ -115,7 +116,11 @@ impl MtdConfig {
     /// * `alpha` must be a probability strictly inside `(0, 1)`;
     /// * `noise_sigma_mw` and `attack_ratio` must be finite and `> 0`;
     /// * `eta_max` must lie in `(0, 1)` (a D-FACTS range of 100 % or
-    ///   more would allow non-positive reactances).
+    ///   more would allow non-positive reactances);
+    /// * `n_attacks`, `n_starts`, `max_evals_per_start` and
+    ///   `opf.pwl_segments` (reported as `pwl_segments`) must be at
+    ///   least 1 — the scenario decoder and the wire apply the same
+    ///   rule, so no surface runs an empty attack set or search.
     pub fn validate(&self) -> Result<(), MtdError> {
         let invalid = |field: &'static str, value: f64| MtdError::InvalidConfig { field, value };
         if !(self.alpha > 0.0 && self.alpha < 1.0) {
@@ -129,6 +134,16 @@ impl MtdConfig {
         }
         if !(self.eta_max > 0.0 && self.eta_max < 1.0) {
             return Err(invalid("eta_max", self.eta_max));
+        }
+        for (field, count) in [
+            ("n_attacks", self.n_attacks),
+            ("n_starts", self.n_starts),
+            ("max_evals_per_start", self.max_evals_per_start),
+            ("pwl_segments", self.opf.pwl_segments),
+        ] {
+            if count == 0 {
+                return Err(invalid(field, 0.0));
+            }
         }
         Ok(())
     }
@@ -207,6 +222,34 @@ mod tests {
                 "eta_max",
                 MtdConfig {
                     eta_max: -0.5,
+                    ..defaults()
+                },
+            ),
+            (
+                "n_attacks",
+                MtdConfig {
+                    n_attacks: 0,
+                    ..defaults()
+                },
+            ),
+            (
+                "n_starts",
+                MtdConfig {
+                    n_starts: 0,
+                    ..defaults()
+                },
+            ),
+            (
+                "max_evals_per_start",
+                MtdConfig {
+                    max_evals_per_start: 0,
+                    ..defaults()
+                },
+            ),
+            (
+                "pwl_segments",
+                MtdConfig {
+                    opf: OpfOptionsSerde { pwl_segments: 0 },
                     ..defaults()
                 },
             ),

@@ -186,7 +186,7 @@ pub(crate) fn max_achievable_gamma_with(
         &x0,
         &lo,
         &hi,
-        cfg.n_starts.max(1),
+        cfg.n_starts,
         cfg.seed,
         &cfg.lbfgs_options(),
         gridmtd_opf::parallel::available_threads(),
@@ -450,7 +450,7 @@ fn run_gradient(
             &x0,
             lo,
             hi,
-            cfg.n_starts.max(1),
+            cfg.n_starts,
             crate::seedstream::domain(cfg.seed, round),
             &cfg.lbfgs_options(),
             threads,

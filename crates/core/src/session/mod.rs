@@ -216,7 +216,8 @@ impl MtdSessionBuilder {
     /// # Errors
     ///
     /// * [`MtdError::InvalidConfig`] for NaN / out-of-range
-    ///   configuration fields (see [`MtdConfig::validate`]);
+    ///   configuration fields and zero budgets (see
+    ///   [`MtdConfig::validate`]);
     /// * [`MtdError::Grid`] if an explicit `x_pre` has the wrong length
     ///   or non-positive entries.
     pub fn build(self) -> Result<MtdSession, MtdError> {

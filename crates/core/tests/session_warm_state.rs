@@ -14,8 +14,8 @@
 //! And a warm session's outputs must be **bit-identical** to a fresh
 //! session's and to the public free functions (`spa::gamma`,
 //! `spa::smallest_angle`, `build_attack_set_with_h`,
-//! `detection_probabilities_parallel`) composed by hand, on dense
-//! paper-scale cases and on the sparse scaling cases alike (the scenario
+//! `detection_probabilities_parallel`) composed by hand, on the
+//! paper-scale cases and on the scaling cases alike (the scenario
 //! goldens pin the same property end to end at the artifact level).
 //!
 //! Everything lives in ONE `#[test]` in its own integration-test
@@ -48,7 +48,7 @@ fn tiny_cfg() -> MtdConfig {
 #[test]
 fn session_reuses_warm_state_and_matches_free_functions() {
     // ------------------------------------------------------------------
-    // case4 (dense backends): GammaBasis ownership + bit-identity of
+    // case4 (the paper's example): GammaBasis ownership + bit-identity of
     // selection.
     // ------------------------------------------------------------------
     let net = cases::case4();
@@ -127,7 +127,7 @@ fn session_reuses_warm_state_and_matches_free_functions() {
     );
 
     // ------------------------------------------------------------------
-    // case57 (sparse PF ≥ 48 buses, sparse WLS ≥ 40 states): symbolic
+    // case57 (a synthetic scaling case): symbolic
     // factorizations run once per topology and never again.
     // ------------------------------------------------------------------
     let net57 = cases::case57();

@@ -185,7 +185,8 @@ mod tests {
         // a = Hc lies in Col(H): undetectable by construction (paper
         // Section III, "undetectable attacks").
         let (bdd, _) = detector(5e-4);
-        let h = bdd.estimator().h().clone();
+        let net = cases::case14();
+        let h = net.measurement_matrix(&net.nominal_reactances()).unwrap();
         let c: Vec<f64> = (0..h.cols()).map(|i| 0.01 * (i as f64 + 1.0)).collect();
         let a = h.matvec(&c).unwrap();
         let lambda = bdd.attack_noncentrality(&a).unwrap();

@@ -36,7 +36,4 @@ mod wls;
 
 pub use bdd::{BadDataDetector, BddOutcome};
 pub use noise::NoiseModel;
-pub use wls::{
-    gain_symbolic_analyses, EstimationError, EstimatorBackend, EstimatorContext, StateEstimator,
-    SPARSE_MIN_STATES,
-};
+pub use wls::{gain_symbolic_analyses, EstimationError, EstimatorContext, StateEstimator};

@@ -6,16 +6,13 @@
 //! `HᵀWH` so repeated estimates (Monte-Carlo detection studies) cost one
 //! matrix–vector product and one triangular solve each.
 //!
-//! # Backends
+//! # Factorization
 //!
-//! Below [`SPARSE_MIN_STATES`] states the gain matrix is built and
-//! factored densely (byte stable with the historical implementation).
-//! At or above the crossover, `H` has a handful of nonzeros per row and
-//! the estimator assembles `HᵀWH` directly from those row stamps,
-//! factors it with the sparse Cholesky of `gridmtd-linalg`, and runs
-//! estimates through sparse matrix–vector products — turning the
-//! `O(M n²)` dense gain construction that dominates large-case detector
-//! builds into `O(Σ nnz(row)²)`. Attack batches should prefer
+//! `H` has a handful of nonzeros per row on every grid, so the estimator
+//! assembles `HᵀWH` directly from those row stamps, factors it with the
+//! sparse Cholesky of `gridmtd-linalg`, and runs estimates through
+//! sparse matrix–vector products — `O(Σ nnz(row)²)` for the gain instead
+//! of the `O(M n²)` dense product. Attack batches should prefer
 //! [`StateEstimator::residual_statistics`] /
 //! [`crate::BadDataDetector::detection_probabilities`], which solve all
 //! right-hand sides through one multi-RHS triangular-solve pass.
@@ -26,7 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use gridmtd_linalg::sparse::{SparseCholesky, SparseMatrix, SymbolicCholesky};
-use gridmtd_linalg::{Cholesky, LinalgError, Matrix};
+use gridmtd_linalg::{LinalgError, Matrix};
 
 use crate::NoiseModel;
 
@@ -52,7 +49,7 @@ pub fn gain_symbolic_analyses() -> u64 {
 /// The cached analysis is validated against each new gain's pattern
 /// (shape, column pointers, row indices) and transparently re-analyzed
 /// on mismatch, so reuse is always correct and always bit-identical to a
-/// cold construction. Dense-backend estimators ignore the context.
+/// cold construction.
 #[derive(Debug, Clone, Default)]
 pub struct EstimatorContext {
     gain_symbolic: Option<Arc<SymbolicCholesky>>,
@@ -60,7 +57,7 @@ pub struct EstimatorContext {
 }
 
 impl EstimatorContext {
-    /// Creates an empty context (first sparse construction analyzes).
+    /// Creates an empty context (the first construction analyzes).
     pub fn new() -> EstimatorContext {
         EstimatorContext::default()
     }
@@ -77,24 +74,6 @@ impl EstimatorContext {
     pub fn has_symbolic(&self) -> bool {
         self.gain_symbolic.is_some()
     }
-}
-
-/// State-count crossover between the dense and sparse gain backends.
-///
-/// The paper-scale cases (4–30 buses, ≤ 29 states) stay dense; the
-/// synthetic scaling cases (57+ buses) go sparse.
-pub const SPARSE_MIN_STATES: usize = 40;
-
-/// Backend selection for [`StateEstimator`] construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EstimatorBackend {
-    /// Dense below [`SPARSE_MIN_STATES`] states, sparse at or above.
-    #[default]
-    Auto,
-    /// Always dense (the historical implementation).
-    Dense,
-    /// Always sparse (agreement property tests on small cases).
-    Sparse,
 }
 
 /// Errors from estimator construction or use.
@@ -170,58 +149,30 @@ impl From<LinalgError> for EstimationError {
 /// ```
 #[derive(Debug, Clone)]
 pub struct StateEstimator {
-    h: Matrix,
     weights: Vec<f64>,
-    solver: GainSolver,
-}
-
-/// Backend-specific factored gain matrix and product caches.
-#[derive(Debug, Clone)]
-enum GainSolver {
-    Dense {
-        /// `diag(w) · H`, cached for `HᵀWz` products.
-        wh: Matrix,
-        gain: Cholesky,
-    },
-    Sparse {
-        /// CSC copy of `H` for the `Hθ` / `HᵀWz` products.
-        h_sparse: SparseMatrix,
-        gain: SparseCholesky,
-    },
+    /// `H` in CSC form, for the `Hθ` / `HᵀWz` products.
+    h_sparse: SparseMatrix,
+    /// Factored gain matrix `HᵀWH`.
+    gain: SparseCholesky,
 }
 
 impl StateEstimator {
     /// Builds the estimator for measurement matrix `h` and the given noise
-    /// model, selecting the backend automatically.
+    /// model.
     ///
     /// # Errors
     ///
     /// * [`EstimationError::DimensionMismatch`] if `noise.len() != h.rows()`.
     /// * [`EstimationError::Unobservable`] if `h` is column-rank deficient.
     pub fn new(h: Matrix, noise: &NoiseModel) -> Result<StateEstimator, EstimationError> {
-        StateEstimator::with_backend(h, noise, EstimatorBackend::Auto)
+        StateEstimator::with_context(h, noise, &mut EstimatorContext::new())
     }
 
-    /// [`StateEstimator::new`] with an explicit backend (property tests;
-    /// production code should prefer the automatic crossover).
-    ///
-    /// # Errors
-    ///
-    /// See [`StateEstimator::new`].
-    pub fn with_backend(
-        h: Matrix,
-        noise: &NoiseModel,
-        backend: EstimatorBackend,
-    ) -> Result<StateEstimator, EstimationError> {
-        StateEstimator::with_context_backend(h, noise, backend, &mut EstimatorContext::new())
-    }
-
-    /// [`StateEstimator::new`] with a reusable [`EstimatorContext`]: on
-    /// the sparse backend the gain's symbolic factorization is taken
-    /// from the context when its pattern matches (and stored there after
-    /// a fresh analysis), so repeated detector builds on one topology
-    /// run the numeric phase only. Bit-identical to
-    /// [`StateEstimator::new`] in every case.
+    /// [`StateEstimator::new`] with a reusable [`EstimatorContext`]: the
+    /// gain's symbolic factorization is taken from the context when its
+    /// pattern matches (and stored there after a fresh analysis), so
+    /// repeated detector builds on one topology run the numeric phase
+    /// only. Bit-identical to [`StateEstimator::new`] in every case.
     ///
     /// # Errors
     ///
@@ -231,15 +182,6 @@ impl StateEstimator {
         noise: &NoiseModel,
         ctx: &mut EstimatorContext,
     ) -> Result<StateEstimator, EstimationError> {
-        StateEstimator::with_context_backend(h, noise, EstimatorBackend::Auto, ctx)
-    }
-
-    fn with_context_backend(
-        h: Matrix,
-        noise: &NoiseModel,
-        backend: EstimatorBackend,
-        ctx: &mut EstimatorContext,
-    ) -> Result<StateEstimator, EstimationError> {
         if noise.len() != h.rows() {
             return Err(EstimationError::DimensionMismatch {
                 expected: h.rows(),
@@ -247,78 +189,56 @@ impl StateEstimator {
             });
         }
         let weights = noise.weights();
-        let sparse = match backend {
-            EstimatorBackend::Auto => h.cols() >= SPARSE_MIN_STATES,
-            EstimatorBackend::Dense => false,
-            EstimatorBackend::Sparse => true,
+        // Assemble HᵀWH directly from the sparse row stamps of H: each
+        // measurement row contributes w·vᵢ·vⱼ over its nonzero column
+        // pairs, so the gain never materializes densely.
+        let mut row_entries: Vec<(usize, f64)> = Vec::new();
+        let mut triplets: Vec<(usize, usize, f64)> = Vec::new();
+        for (r, &w) in weights.iter().enumerate() {
+            row_entries.clear();
+            row_entries.extend(
+                h.row(r)
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, v)| **v != 0.0)
+                    .map(|(c, &v)| (c, v)),
+            );
+            for &(ci, vi) in &row_entries {
+                for &(cj, vj) in &row_entries {
+                    triplets.push((ci, cj, w * vi * vj));
+                }
+            }
+        }
+        let gain_matrix = SparseMatrix::from_triplets(h.cols(), h.cols(), &triplets)?;
+        // The cached symbolic serves any gain with the same pattern;
+        // `factor` itself verifies the pattern, so a mismatch (new
+        // topology through an old context) falls back to a fresh
+        // analysis instead of producing wrong numbers.
+        let cached = match ctx.gain_symbolic.as_ref() {
+            Some(sym) => match SparseCholesky::factor(Arc::clone(sym), &gain_matrix) {
+                Ok(gain) => {
+                    ctx.reuses += 1;
+                    Some(gain)
+                }
+                Err(LinalgError::ShapeMismatch { .. }) => None,
+                Err(e) => return Err(e.into()),
+            },
+            None => None,
         };
-        let solver = if sparse {
-            // Assemble HᵀWH directly from the sparse row stamps of H:
-            // each measurement row contributes w·vᵢ·vⱼ over its nonzero
-            // column pairs, so the gain never materializes densely.
-            let mut row_entries: Vec<(usize, f64)> = Vec::new();
-            let mut triplets: Vec<(usize, usize, f64)> = Vec::new();
-            for (r, &w) in weights.iter().enumerate() {
-                row_entries.clear();
-                row_entries.extend(
-                    h.row(r)
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, v)| **v != 0.0)
-                        .map(|(c, &v)| (c, v)),
-                );
-                for &(ci, vi) in &row_entries {
-                    for &(cj, vj) in &row_entries {
-                        triplets.push((ci, cj, w * vi * vj));
-                    }
-                }
+        let gain = match cached {
+            Some(gain) => gain,
+            None => {
+                GAIN_SYMBOLIC_ANALYSES.fetch_add(1, Ordering::Relaxed);
+                let symbolic = Arc::new(SymbolicCholesky::analyze(&gain_matrix)?);
+                ctx.gain_symbolic = Some(Arc::clone(&symbolic));
+                SparseCholesky::factor(symbolic, &gain_matrix)?
             }
-            let gain_matrix = SparseMatrix::from_triplets(h.cols(), h.cols(), &triplets)?;
-            // The cached symbolic serves any gain with the same pattern;
-            // `factor` itself verifies the pattern, so a mismatch (new
-            // topology through an old context) falls back to a fresh
-            // analysis instead of producing wrong numbers.
-            let cached = match ctx.gain_symbolic.as_ref() {
-                Some(sym) => match SparseCholesky::factor(Arc::clone(sym), &gain_matrix) {
-                    Ok(gain) => {
-                        ctx.reuses += 1;
-                        Some(gain)
-                    }
-                    Err(LinalgError::ShapeMismatch { .. }) => None,
-                    Err(e) => return Err(e.into()),
-                },
-                None => None,
-            };
-            let gain = match cached {
-                Some(gain) => gain,
-                None => {
-                    GAIN_SYMBOLIC_ANALYSES.fetch_add(1, Ordering::Relaxed);
-                    let symbolic = Arc::new(SymbolicCholesky::analyze(&gain_matrix)?);
-                    ctx.gain_symbolic = Some(Arc::clone(&symbolic));
-                    SparseCholesky::factor(symbolic, &gain_matrix)?
-                }
-            };
-            GainSolver::Sparse {
-                h_sparse: SparseMatrix::from_dense(&h),
-                gain,
-            }
-        } else {
-            let mut wh = h.clone();
-            for (i, &w) in weights.iter().enumerate() {
-                for v in wh.row_mut(i) {
-                    *v *= w;
-                }
-            }
-            let gain_matrix = h.transpose().matmul(&wh)?;
-            let gain = Cholesky::factor(&gain_matrix)?;
-            GainSolver::Dense { wh, gain }
         };
-        Ok(StateEstimator { h, weights, solver })
-    }
-
-    /// The measurement matrix.
-    pub fn h(&self) -> &Matrix {
-        &self.h
+        Ok(StateEstimator {
+            weights,
+            h_sparse: SparseMatrix::from_dense(&h),
+            gain,
+        })
     }
 
     /// WLS weights `1/σᵢ²`.
@@ -328,12 +248,12 @@ impl StateEstimator {
 
     /// Measurement count `M`.
     pub fn n_measurements(&self) -> usize {
-        self.h.rows()
+        self.h_sparse.nrows()
     }
 
     /// State dimension `n`.
     pub fn n_states(&self) -> usize {
-        self.h.cols()
+        self.h_sparse.ncols()
     }
 
     /// Residual degrees of freedom `M − n` of the χ² test statistic.
@@ -354,16 +274,8 @@ impl StateEstimator {
                 actual: z.len(),
             });
         }
-        match &self.solver {
-            GainSolver::Dense { wh, gain } => {
-                let rhs = wh.matvec_transposed(z)?;
-                Ok(gain.solve(&rhs)?)
-            }
-            GainSolver::Sparse { h_sparse, gain } => {
-                let rhs = h_sparse.matvec_transposed(&self.weighted(z))?;
-                Ok(gain.solve(&rhs)?)
-            }
-        }
+        let rhs = self.h_sparse.matvec_transposed(&self.weighted(z))?;
+        Ok(self.gain.solve(&rhs)?)
     }
 
     /// ML estimates for a batch of measurement vectors through a single
@@ -388,20 +300,12 @@ impl StateEstimator {
                     actual: z.len(),
                 });
             }
-            let col = match &self.solver {
-                GainSolver::Dense { wh, .. } => wh.matvec_transposed(z)?,
-                GainSolver::Sparse { h_sparse, .. } => {
-                    h_sparse.matvec_transposed(&self.weighted(z))?
-                }
-            };
+            let col = self.h_sparse.matvec_transposed(&self.weighted(z))?;
             for (i, v) in col.into_iter().enumerate() {
                 rhs[(i, c)] = v;
             }
         }
-        let thetas = match &self.solver {
-            GainSolver::Dense { gain, .. } => gain.solve_matrix(&rhs)?,
-            GainSolver::Sparse { gain, .. } => gain.solve_matrix(&rhs)?,
-        };
+        let thetas = self.gain.solve_matrix(&rhs)?;
         Ok((0..zs.len()).map(|c| thetas.col(c)).collect())
     }
 
@@ -413,14 +317,6 @@ impl StateEstimator {
             .collect()
     }
 
-    /// `H θ` through whichever representation of `H` the backend keeps.
-    fn h_matvec(&self, theta: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        match &self.solver {
-            GainSolver::Dense { .. } => self.h.matvec(theta),
-            GainSolver::Sparse { h_sparse, .. } => h_sparse.matvec(theta),
-        }
-    }
-
     /// Residual vector `r = z − Hθ̂`.
     ///
     /// # Errors
@@ -428,7 +324,7 @@ impl StateEstimator {
     /// See [`StateEstimator::estimate`].
     pub fn residual(&self, z: &[f64]) -> Result<Vec<f64>, EstimationError> {
         let theta = self.estimate(z)?;
-        let zh = self.h_matvec(&theta)?;
+        let zh = self.h_sparse.matvec(&theta)?;
         Ok(z.iter().zip(zh.iter()).map(|(a, b)| a - b).collect())
     }
 
@@ -444,7 +340,7 @@ impl StateEstimator {
         zs.iter()
             .zip(thetas.iter())
             .map(|(z, theta)| {
-                let zh = self.h_matvec(theta)?;
+                let zh = self.h_sparse.matvec(theta)?;
                 Ok(z.iter()
                     .zip(zh.iter())
                     .zip(self.weights.iter())
@@ -571,65 +467,52 @@ mod tests {
 
     #[test]
     fn sparse_backend_agrees_with_dense() {
-        let (net, dense_est, z) = case14_setup();
-        let x = net.nominal_reactances();
-        let h = net.measurement_matrix(&x).unwrap();
-        let noise = NoiseModel::uniform(h.rows(), 1.0);
-        let sparse_est =
-            StateEstimator::with_backend(h, &noise, super::EstimatorBackend::Sparse).unwrap();
-        let td = dense_est.estimate(&z).unwrap();
-        let ts = sparse_est.estimate(&z).unwrap();
+        // Reference: the dense normal equations, a Cholesky of HᵀH (unit
+        // weights).
+        let (net, est, z) = case14_setup();
+        let h = net.measurement_matrix(&net.nominal_reactances()).unwrap();
+        let gain = gridmtd_linalg::Cholesky::factor(&h.transpose().matmul(&h).unwrap()).unwrap();
+        let td = gain.solve(&h.matvec_transposed(&z).unwrap()).unwrap();
+        let ts = est.estimate(&z).unwrap();
         assert!(vector::approx_eq(&td, &ts, 1e-9));
-        let jd = dense_est.residual_statistic(&z).unwrap();
-        let js = sparse_est.residual_statistic(&z).unwrap();
+        let hd = h.matvec(&td).unwrap();
+        let jd: f64 = z.iter().zip(&hd).map(|(a, b)| (a - b) * (a - b)).sum();
+        let js = est.residual_statistic(&z).unwrap();
         assert!((jd - js).abs() < 1e-8, "{jd} vs {js}");
     }
 
     #[test]
     fn batch_estimates_are_bit_identical_to_singles() {
-        let (net, dense_est, z) = case14_setup();
-        let x = net.nominal_reactances();
-        let h = net.measurement_matrix(&x).unwrap();
-        let noise = NoiseModel::uniform(h.rows(), 1.0);
-        let sparse_est =
-            StateEstimator::with_backend(h, &noise, super::EstimatorBackend::Sparse).unwrap();
+        let (_, est, z) = case14_setup();
         // A few shifted copies of z as a batch.
         let zs_owned: Vec<Vec<f64>> = (0..4)
             .map(|k| z.iter().map(|v| v + k as f64 * 0.5).collect())
             .collect();
         let zs: Vec<&[f64]> = zs_owned.iter().map(Vec::as_slice).collect();
-        for est in [&dense_est, &sparse_est] {
-            let batch = est.estimate_batch(&zs).unwrap();
-            let stats = est.residual_statistics(&zs).unwrap();
-            for (k, z) in zs.iter().enumerate() {
-                let single = est.estimate(z).unwrap();
-                assert_eq!(batch[k], single, "estimate batch vs single");
-                let j = est.residual_statistic(z).unwrap();
-                assert_eq!(stats[k].to_bits(), j.to_bits(), "J batch vs single");
-            }
+        let batch = est.estimate_batch(&zs).unwrap();
+        let stats = est.residual_statistics(&zs).unwrap();
+        for (k, z) in zs.iter().enumerate() {
+            let single = est.estimate(z).unwrap();
+            assert_eq!(batch[k], single, "estimate batch vs single");
+            let j = est.residual_statistic(z).unwrap();
+            assert_eq!(stats[k].to_bits(), j.to_bits(), "J batch vs single");
         }
         // Wrong-length vector in a batch is reported.
-        assert!(dense_est.estimate_batch(&[&[1.0]]).is_err());
+        assert!(est.estimate_batch(&[&[1.0]]).is_err());
     }
 
     #[test]
     fn sparse_backend_recovers_true_state_noiseless() {
-        let (net, _, z) = case14_setup();
+        // The paper's 4-bus example, whose 3 states are the smallest
+        // system the sparse gain factors.
+        let net = cases::case4();
         let x = net.nominal_reactances();
         let h = net.measurement_matrix(&x).unwrap();
-        let noise = NoiseModel::uniform(h.rows(), 1.0);
-        let est = StateEstimator::with_backend(h, &noise, super::EstimatorBackend::Sparse).unwrap();
+        let est = StateEstimator::new(h, &NoiseModel::uniform(net.n_measurements(), 1.0)).unwrap();
+        let z = dcpf::solve_dispatch(&net, &x, &[350.0, 150.0])
+            .unwrap()
+            .measurement_vector();
         assert!(est.residual_statistic(&z).unwrap() < 1e-12);
-    }
-
-    #[test]
-    fn sparse_backend_reports_unobservability() {
-        let h = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0], &[3.0, 6.0]]).unwrap();
-        let noise = NoiseModel::uniform(3, 1.0);
-        assert_eq!(
-            StateEstimator::with_backend(h, &noise, super::EstimatorBackend::Sparse).unwrap_err(),
-            EstimationError::Unobservable
-        );
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! relies on a small but non-trivial set of numerical kernels:
 //!
 //! * weighted least squares for state estimation (normal equations via
-//!   [`Cholesky`], or QR for better conditioning),
+//!   [`sparse::SparseCholesky`]; the dense [`Cholesky`] and QR serve the
+//!   γ pencil and the test oracles),
 //! * residual projectors `I − H(HᵀWH)⁻¹HᵀW`,
 //! * column-space geometry: orthonormal bases ([`Qr`]), ranks and
 //!   **principal angles between subspaces** ([`subspace::principal_angles`],
@@ -17,16 +18,14 @@
 //! * a singular value decomposition ([`Svd`], one-sided Jacobi) for rank
 //!   checks.
 //!
-//! The dense kernels operate on a row-major [`Matrix`] type and remain
-//! the right tool below a few dozen states (no index overhead, byte
-//! stable against the original implementation). Above that, the grid
-//! operators are dominated by zeros — a 118-bus susceptance matrix is
-//! ≈ 97 % empty — so the [`sparse`] module provides CSC storage, a
-//! fill-reducing ordering, a sparse Cholesky whose **symbolic phase is
-//! computed once per topology** and reused across MTD value
-//! perturbations ([`sparse::SparseCholesky::refactor`]), and a sparse LU
-//! for the simplex basis matrices of the DC-OPF. Consumers pick a
-//! backend per problem size and fall back to dense below the crossover.
+//! The dense kernels operate on a row-major [`Matrix`] type. The grid
+//! operators of the power flow and the state estimator are dominated by
+//! zeros — a 118-bus susceptance matrix is ≈ 97 % empty — so the
+//! [`sparse`] module provides CSC storage, a fill-reducing ordering and
+//! a sparse Cholesky whose **symbolic phase is computed once per
+//! topology** and reused across MTD value perturbations
+//! ([`sparse::SparseCholesky::refactor`]). Those two consumers take the
+//! sparse path on every grid size.
 //!
 //! # Example
 //!

@@ -17,10 +17,8 @@
 //!   perturbation ([`SparseCholesky::refactor`]), plus multi-RHS
 //!   triangular solves ([`SparseCholesky::solve_matrix`]).
 //!
-//! Consumers keep the dense kernels below a size crossover (the dense
-//! path has no index overhead and is byte-stable with the original
-//! implementation); see `gridmtd_powergrid::dcpf` and
-//! `gridmtd_estimation::wls` for the selection policies.
+//! `gridmtd_powergrid::dcpf` and `gridmtd_estimation::wls` factor
+//! through this module on every grid size.
 
 mod cholesky;
 mod csc;

@@ -4,23 +4,19 @@
 //! flows `f_l = b_l (θ_i − θ_j)` and the slack injection from flow
 //! balance. This is the power-flow model of Section III of the paper.
 //!
-//! # Backends
+//! # Factorization
 //!
-//! Two interchangeable linear-algebra backends solve `B̃ θ̃ = p̃`:
+//! Every grid, from the paper's 4-bus example to the 300-bus scaling
+//! case, solves `B̃ θ̃ = p̃` the same way: CSC `B̃` + sparse Cholesky
+//! with a split symbolic/numeric factorization. A reusable
+//! [`PfContext`] caches the symbolic analysis (elimination tree,
+//! fill-reducing ordering, pattern of `L`) *per topology*; each MTD
+//! reactance perturbation only rewrites matrix values in place and
+//! re-runs the numeric phase plus two sparse triangular solves.
 //!
-//! * **dense** — the original LU path, used below
-//!   [`SPARSE_MIN_BUSES`] where a dense factor is cheapest (and byte
-//!   stable with the historical results);
-//! * **sparse** — CSC `B̃` + sparse Cholesky with a split
-//!   symbolic/numeric factorization. A reusable [`PfContext`] caches the
-//!   symbolic analysis (elimination tree, fill-reducing ordering,
-//!   pattern of `L`) *per topology*; each MTD reactance perturbation
-//!   only rewrites matrix values in place and re-runs the numeric phase
-//!   plus two sparse triangular solves.
-//!
-//! [`solve_dc`] / [`solve_dispatch`] pick the backend automatically with
-//! a fresh context; hot loops (OPF objective evaluations, Monte-Carlo
-//! trials, timeline hours) should hold one [`PfContext`] per thread and
+//! [`solve_dc`] / [`solve_dispatch`] run with a fresh context; hot
+//! loops (OPF objective evaluations, Monte-Carlo trials, timeline
+//! hours) should hold one [`PfContext`] per thread and
 //! call [`solve_dc_with`] / [`solve_dispatch_with`] so the symbolic work
 //! is amortized across the whole loop. [`PfContext::factor`] hands out
 //! the factorization of `B̃(x)` itself ([`PfFactor`]) for callers that
@@ -31,17 +27,8 @@
 use std::sync::Arc;
 
 use gridmtd_linalg::sparse::{SparseCholesky, SparseMatrix, SymbolicCholesky};
-use gridmtd_linalg::Lu;
 
 use crate::{stats, GridError, Network};
-
-/// Bus-count crossover between the dense and sparse backends.
-///
-/// Below this size the dense LU on the (tiny) reduced susceptance
-/// matrix wins on constant factors — and keeps the paper-scale cases
-/// (4–30 buses) byte-identical with the historical dense results. The
-/// synthetic scaling cases (57+ buses) take the sparse path.
-pub const SPARSE_MIN_BUSES: usize = 48;
 
 /// Result of a DC power-flow solve.
 #[derive(Debug, Clone, PartialEq)]
@@ -110,25 +97,12 @@ pub fn solve_dispatch_with(
     solve_dc_with(net, x, &p, ctx)
 }
 
-/// Linear-algebra backend selection for the DC power flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PfBackend {
-    /// Dense below [`SPARSE_MIN_BUSES`], sparse at or above it.
-    #[default]
-    Auto,
-    /// Always the dense LU path (the historical implementation).
-    Dense,
-    /// Always the sparse symbolic/numeric path (used by the agreement
-    /// property tests and the refactorization benches on small cases).
-    Sparse,
-}
-
 /// Reusable DC power-flow state: the cached symbolic factorization and
-/// workspaces of the sparse backend.
+/// the value workspace of `B̃`.
 ///
 /// The expensive, topology-dependent work — fill-reducing ordering,
 /// elimination tree, nonzero pattern of the Cholesky factor, branch →
-/// matrix-slot scatter map — is done once on the first sparse solve and
+/// matrix-slot scatter map — is done once on the first solve and
 /// reused for every later solve against the *same topology*, which is
 /// exactly the MTD loop shape: reactance values drift, the grid graph
 /// never changes. Feeding a context a different [`Network`] is always
@@ -140,7 +114,6 @@ pub enum PfBackend {
 /// fan-out loops (mirroring `OpfContext` in `gridmtd-opf`).
 #[derive(Debug, Clone, Default)]
 pub struct PfContext {
-    backend: PfBackend,
     cache: Option<SparseCache>,
     /// Numeric-only refactorizations served by the cached symbolic
     /// analysis (diagnostics; mirrors `OpfContext::warm_solves`).
@@ -166,18 +139,9 @@ struct SparseCache {
 const NO_SLOT: usize = usize::MAX;
 
 impl PfContext {
-    /// Creates a context with automatic backend selection.
+    /// Creates an empty context (the first solve analyzes).
     pub fn new() -> PfContext {
         PfContext::default()
-    }
-
-    /// Creates a context pinned to a specific backend (property tests
-    /// and benches; production code should prefer [`PfContext::new`]).
-    pub fn with_backend(backend: PfBackend) -> PfContext {
-        PfContext {
-            backend,
-            ..PfContext::default()
-        }
     }
 
     /// Number of solves that reused the cached symbolic factorization
@@ -186,21 +150,11 @@ impl PfContext {
         self.refactors
     }
 
-    /// Whether `net` would take the sparse path under this context's
-    /// backend policy.
-    pub fn uses_sparse(&self, net: &Network) -> bool {
-        match self.backend {
-            PfBackend::Auto => net.n_buses() >= SPARSE_MIN_BUSES,
-            PfBackend::Dense => false,
-            PfBackend::Sparse => true,
-        }
-    }
-
     /// Builds the topology-keyed sparse cache up front (symbolic
     /// factorization, slot map, a first numeric factor at `x`) without
     /// running a solve. A primed context — and every *clone* of it — then
     /// serves numeric-only refactorizations for any reactance vector on
-    /// the same topology. No-op on the dense path.
+    /// the same topology.
     ///
     /// This is the session-warmup hook: prime one context per topology,
     /// clone it into per-thread / per-start contexts, and the symbolic
@@ -210,10 +164,7 @@ impl PfContext {
     ///
     /// Propagates reactance validation and factorization failures.
     pub fn prime(&mut self, net: &Network, x: &[f64]) -> Result<(), GridError> {
-        if self.uses_sparse(net) {
-            let b = net.susceptances(x)?;
-            self.refactor(net, &b)?;
-        }
+        self.factor(net, x)?;
         Ok(())
     }
 
@@ -291,8 +242,8 @@ impl SparseCache {
     }
 }
 
-/// [`solve_dc`] with a reusable [`PfContext`]: on the sparse path, only
-/// the numeric factorization phase and two triangular solves run per
+/// [`solve_dc`] with a reusable [`PfContext`]: only the numeric
+/// factorization phase and two triangular solves run per
 /// call once the context has seen the topology.
 ///
 /// # Errors
@@ -316,9 +267,8 @@ pub fn solve_dc_with(
 }
 
 impl PfContext {
-    /// Factors `B̃(x)` once for many solves against it: the sparse
-    /// Cholesky (numeric phase on the cached symbolic analysis) at or
-    /// above [`SPARSE_MIN_BUSES`], the dense LU below.
+    /// Factors `B̃(x)` once for many solves against it: the numeric
+    /// phase of the sparse Cholesky on the cached symbolic analysis.
     ///
     /// One factor serves the flow recovery ([`PfFactor::power_flow`],
     /// the arithmetic of [`solve_dc_with`]) and any number of extra
@@ -329,37 +279,18 @@ impl PfContext {
     ///
     /// Propagates reactance validation and factorization failures.
     pub fn factor(&mut self, net: &Network, x: &[f64]) -> Result<PfFactor<'_>, GridError> {
-        if self.uses_sparse(net) {
-            let suscept = net.susceptances(x)?;
-            let numeric = self.refactor(net, &suscept)?;
-            Ok(PfFactor {
-                kind: FactorKind::Sparse(numeric),
-                suscept,
-            })
-        } else {
-            // The historical dense path, operation for operation (byte
-            // stability for the paper-scale cases).
-            let lu = Lu::factor(&net.b_reduced(x)?)?;
-            Ok(PfFactor {
-                kind: FactorKind::Dense(lu),
-                suscept: net.susceptances(x)?,
-            })
-        }
+        let suscept = net.susceptances(x)?;
+        let chol = self.refactor(net, &suscept)?;
+        Ok(PfFactor { chol, suscept })
     }
 }
 
 /// A factorization of the reduced susceptance matrix `B̃(x)` at one
-/// reactance vector, borrowed from (or built by) a [`PfContext`].
+/// reactance vector, borrowed from a [`PfContext`].
 #[derive(Debug)]
 pub struct PfFactor<'a> {
-    kind: FactorKind<'a>,
+    chol: &'a SparseCholesky,
     suscept: Vec<f64>,
-}
-
-#[derive(Debug)]
-enum FactorKind<'a> {
-    Dense(Lu),
-    Sparse(&'a SparseCholesky),
 }
 
 impl PfFactor<'_> {
@@ -375,10 +306,7 @@ impl PfFactor<'_> {
     ///
     /// [`GridError::Numerical`] on a length mismatch.
     pub fn solve(&self, rhs: &[f64]) -> Result<Vec<f64>, GridError> {
-        Ok(match &self.kind {
-            FactorKind::Dense(lu) => lu.solve(rhs)?,
-            FactorKind::Sparse(chol) => chol.solve(rhs)?,
-        })
+        Ok(self.chol.solve(rhs)?)
     }
 
     /// DC power flow for the requested nodal injections (the slack entry
@@ -530,24 +458,36 @@ mod tests {
 
     #[test]
     fn sparse_backend_agrees_with_dense_on_small_case() {
+        // Reference: a dense LU of the reduced susceptance matrix.
         let net = cases::case14();
         let x = net.nominal_reactances();
         let dispatch = [150.0, 40.0, 20.0, 30.0, 19.0];
-        let dense = solve_dispatch(&net, &x, &dispatch).unwrap();
-        let mut ctx = PfContext::with_backend(PfBackend::Sparse);
-        let sparse = solve_dispatch_with(&net, &x, &dispatch, &mut ctx).unwrap();
-        for (a, b) in dense.theta.iter().zip(sparse.theta.iter()) {
-            assert!((a - b).abs() < 1e-10, "{a} vs {b}");
+        let p = net.injections(&dispatch).unwrap();
+        let p_red: Vec<f64> = (0..net.n_buses())
+            .filter(|&i| i != net.slack())
+            .map(|i| p[i])
+            .collect();
+        let lu = gridmtd_linalg::Lu::factor(&net.b_reduced(&x).unwrap()).unwrap();
+        let theta_red = lu.solve(&p_red).unwrap();
+        let theta = |i: usize| net.reduced_index(i).map_or(0.0, |r| theta_red[r]);
+        let b = net.susceptances(&x).unwrap();
+
+        let sparse = solve_dispatch(&net, &x, &dispatch).unwrap();
+        for i in 0..net.n_buses() {
+            let (a, d) = (sparse.theta[i], theta(i));
+            assert!((a - d).abs() < 1e-10, "{a} vs {d}");
         }
-        for (a, b) in dense.flows.iter().zip(sparse.flows.iter()) {
-            assert!((a - b).abs() < 1e-7, "{a} vs {b}");
+        for (l, br) in net.branches().iter().enumerate() {
+            let d = b[l] * (theta(br.from) - theta(br.to));
+            let a = sparse.flows[l];
+            assert!((a - d).abs() < 1e-7, "{a} vs {d}");
         }
     }
 
     #[test]
     fn context_reuses_symbolic_factorization_across_perturbations() {
         let net = cases::case14();
-        let mut ctx = PfContext::with_backend(PfBackend::Sparse);
+        let mut ctx = PfContext::new();
         let dispatch = [150.0, 40.0, 20.0, 30.0, 19.0];
         let mut x = net.nominal_reactances();
         for k in 0..5 {
@@ -558,13 +498,7 @@ mod tests {
             // A cold context (fresh symbolic analysis) must match the
             // refactored path bit for bit: the numeric phase is
             // identical arithmetic either way.
-            let cold = solve_dispatch_with(
-                &net,
-                &x,
-                &dispatch,
-                &mut PfContext::with_backend(PfBackend::Sparse),
-            )
-            .unwrap();
+            let cold = solve_dispatch_with(&net, &x, &dispatch, &mut PfContext::new()).unwrap();
             assert_eq!(warm, cold);
         }
         assert_eq!(ctx.symbolic_reuses(), 4, "first solve analyzes, rest reuse");
@@ -572,7 +506,7 @@ mod tests {
 
     #[test]
     fn context_rebuilds_on_topology_change() {
-        let mut ctx = PfContext::with_backend(PfBackend::Sparse);
+        let mut ctx = PfContext::new();
         let a = cases::case14();
         let b = cases::case30();
         solve_dispatch_with(
@@ -600,14 +534,6 @@ mod tests {
         for (x, y) in pf.theta.iter().zip(direct.theta.iter()) {
             assert!((x - y).abs() < 1e-10);
         }
-    }
-
-    #[test]
-    fn auto_backend_crossover_is_by_bus_count() {
-        let ctx = PfContext::new();
-        assert!(!ctx.uses_sparse(&cases::case30()));
-        assert!(ctx.uses_sparse(&cases::case57()));
-        assert!(!PfContext::with_backend(PfBackend::Dense).uses_sparse(&cases::case57()));
     }
 
     #[test]

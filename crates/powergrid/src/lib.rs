@@ -33,7 +33,7 @@ mod network;
 pub mod stats;
 mod types;
 
-pub use dcpf::{PfBackend, PfContext, PfFactor, PowerFlow};
+pub use dcpf::{PfContext, PfFactor, PowerFlow};
 pub use error::GridError;
 pub use measurement::MeasurementLayout;
 pub use network::Network;

@@ -1,12 +1,14 @@
 //! Sparse-vs-dense agreement contract for the DC power flow.
 //!
-//! The sparse backend (CSC `B̃`, RCM ordering, symbolic/numeric split)
-//! must reproduce the dense LU results on every benchmark case — from
-//! the paper's 4-bus example to the beyond-paper 300-bus scaling rung —
-//! and a warm context's numeric-only refactorization must match a cold
-//! factorization of the same values exactly.
+//! The power flow (CSC `B̃`, RCM ordering, symbolic/numeric split) must
+//! reproduce a dense reference — LU on [`Network::b_reduced`], local to
+//! this test — on every benchmark case, from the paper's 4-bus example
+//! to the beyond-paper 300-bus scaling rung, and a warm context's
+//! numeric-only refactorization must match a cold factorization of the
+//! same values exactly.
 
-use gridmtd_powergrid::{cases, dcpf, Network, PfBackend, PfContext};
+use gridmtd_linalg::Lu;
+use gridmtd_powergrid::{cases, dcpf, Network, PfContext, PowerFlow};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -36,16 +38,49 @@ fn perturbed(net: &Network, step: usize) -> Vec<f64> {
     x
 }
 
+/// The dense reference: `B̃ θ̃ = p̃` by LU, then the flows
+/// `b_l (θ_i − θ_j)` and the realized injections from flow balance.
+fn dense_power_flow(net: &Network, x: &[f64], dispatch: &[f64]) -> PowerFlow {
+    let p = net.injections(dispatch).unwrap();
+    let p_red: Vec<f64> = (0..net.n_buses())
+        .filter(|&i| i != net.slack())
+        .map(|i| p[i])
+        .collect();
+    let theta_red = Lu::factor(&net.b_reduced(x).unwrap())
+        .unwrap()
+        .solve(&p_red)
+        .unwrap();
+    let theta: Vec<f64> = (0..net.n_buses())
+        .map(|i| net.reduced_index(i).map_or(0.0, |r| theta_red[r]))
+        .collect();
+    let b = net.susceptances(x).unwrap();
+    let flows: Vec<f64> = net
+        .branches()
+        .iter()
+        .enumerate()
+        .map(|(l, br)| b[l] * (theta[br.from] - theta[br.to]))
+        .collect();
+    let mut injections = vec![0.0; net.n_buses()];
+    for (br, f) in net.branches().iter().zip(&flows) {
+        injections[br.from] += f;
+        injections[br.to] -= f;
+    }
+    PowerFlow {
+        theta,
+        flows,
+        injections,
+    }
+}
+
 #[test]
 fn power_flow_sparse_matches_dense_on_every_case() {
     for net in all_cases() {
         let dispatch = even_dispatch(&net);
-        let mut sparse_ctx = PfContext::with_backend(PfBackend::Sparse);
-        let mut dense_ctx = PfContext::with_backend(PfBackend::Dense);
+        let mut sparse_ctx = PfContext::new();
         for step in 0..3 {
             let x = perturbed(&net, step);
             let sp = dcpf::solve_dispatch_with(&net, &x, &dispatch, &mut sparse_ctx).unwrap();
-            let de = dcpf::solve_dispatch_with(&net, &x, &dispatch, &mut dense_ctx).unwrap();
+            let de = dense_power_flow(&net, &x, &dispatch);
             let scale = de.theta.iter().fold(1.0f64, |m, v| m.max(v.abs()));
             for (a, b) in sp.theta.iter().zip(de.theta.iter()) {
                 assert!(
@@ -79,10 +114,10 @@ fn refactorization_after_random_perturbations_matches_cold() {
     // with a cold sparse factorization of the same values to 1e-10
     // (they are in fact the same arithmetic, so this is conservative).
     let mut rng = StdRng::seed_from_u64(0x5_9a7);
-    for net in [cases::case57(), cases::case118(), cases::case300()] {
+    for net in all_cases() {
         let dispatch = even_dispatch(&net);
         let dfacts = net.dfacts_branches();
-        let mut warm = PfContext::with_backend(PfBackend::Sparse);
+        let mut warm = PfContext::new();
         // Prime the cache at the nominal point.
         dcpf::solve_dispatch_with(&net, &net.nominal_reactances(), &dispatch, &mut warm).unwrap();
         for _ in 0..5 {
@@ -91,13 +126,8 @@ fn refactorization_after_random_perturbations_matches_cold() {
                 x[l] *= 1.0 + rng.gen_range(-0.2..0.2);
             }
             let refactored = dcpf::solve_dispatch_with(&net, &x, &dispatch, &mut warm).unwrap();
-            let cold = dcpf::solve_dispatch_with(
-                &net,
-                &x,
-                &dispatch,
-                &mut PfContext::with_backend(PfBackend::Sparse),
-            )
-            .unwrap();
+            let cold =
+                dcpf::solve_dispatch_with(&net, &x, &dispatch, &mut PfContext::new()).unwrap();
             let scale = cold.theta.iter().fold(1.0f64, |m, v| m.max(v.abs()));
             for (a, b) in refactored.theta.iter().zip(cold.theta.iter()) {
                 assert!(

@@ -304,3 +304,34 @@ fn oversized_synthetic_cases_are_refused_before_any_network_is_built() {
     assert_eq!(spec.case, "synthetic:300:1");
     assert_eq!(spec.build().unwrap().network().n_buses(), 300);
 }
+
+#[test]
+fn zero_budgets_in_the_session_config_get_a_typed_error_naming_the_field() {
+    let mut server = Server::start(&ServeOptions::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    for (id, field) in [
+        "n_attacks",
+        "n_starts",
+        "max_evals_per_start",
+        "pwl_segments",
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let frame = format!(
+            r#"{{"id":{id},"method":"evaluate","session":{{"case":"case4","config":{{"{field}":0}}}},"params":{{"x_post":[0.1,0.1,0.1,0.1]}}}}"#
+        );
+        let line = client.call_raw(&frame).unwrap();
+        assert_eq!(
+            error_code(&line),
+            Some(wire::PIPELINE_ERROR),
+            "{field} = 0 must be refused, got: {line}"
+        );
+        assert!(
+            line.contains(&format!("invalid MtdConfig: {field} = 0")),
+            "{line}"
+        );
+    }
+    assert_eq!(server.stats().resident, 0, "no session was kept");
+    server.shutdown();
+}
