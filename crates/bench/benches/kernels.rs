@@ -3,12 +3,18 @@
 //! orthonormal basis of `Col(H_pre)`: the basis QR, the values-only
 //! angle spectrum, the dense differentiable `sin²γ` state and the
 //! selection's low-rank one), DC power flow,
-//! WLS + BDD residual evaluation and closed-form attack scoring.
+//! WLS + BDD residual evaluation and closed-form attack scoring (one
+//! attack on case14, the paper's 1000-attack ensemble on case118).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::hint::black_box;
+use std::sync::OnceLock;
 
-use gridmtd_core::spa;
+use gridmtd_attack::FdiAttack;
+use gridmtd_core::effectiveness::detection_probabilities_parallel;
+use gridmtd_core::{spa, MtdSession};
 use gridmtd_estimation::{BadDataDetector, NoiseModel, StateEstimator};
 use gridmtd_powergrid::{cases, dcpf};
 
@@ -182,9 +188,43 @@ fn bench_detection_probability(c: &mut Criterion) {
     });
 }
 
+/// Closed-form scoring of the paper's 1000-attack case118 ensemble
+/// against one seeded D-FACTS perturbation: the batched WLS residuals
+/// `λ` and one noncentral-χ² tail per attack, fanned out across the
+/// worker threads as every evaluation runs it. Set-up (case118 session,
+/// ensemble, post-MTD detector) runs seconds, so it is lazy: a filtered
+/// run that excludes the row never pays for it.
+fn bench_detection_scores(c: &mut Criterion) {
+    let setup = || {
+        let session = MtdSession::builder(cases::case118()).build().unwrap();
+        let attacks = session.attacks().unwrap().to_vec();
+        let net = session.network();
+        let mut rng = StdRng::seed_from_u64(22);
+        let step = rng.gen_range(0.05..0.08);
+        let mut x_post = session.x_pre().to_vec();
+        for l in net.dfacts_branches() {
+            x_post[l] *= if rng.gen_bool(0.5) {
+                1.0 + step
+            } else {
+                1.0 - step
+            };
+        }
+        let cfg = session.config();
+        let h_post = net.measurement_matrix(&x_post).unwrap();
+        let noise = NoiseModel::uniform(h_post.rows(), cfg.noise_sigma_mw);
+        let bdd = BadDataDetector::new(StateEstimator::new(h_post, &noise).unwrap(), cfg.alpha);
+        (bdd, attacks)
+    };
+    let state: OnceLock<(BadDataDetector, Vec<FdiAttack>)> = OnceLock::new();
+    c.bench_function("detection_scores/case118_1000", |b| {
+        let (bdd, attacks) = state.get_or_init(setup);
+        b.iter(|| detection_probabilities_parallel(black_box(bdd), attacks).unwrap())
+    });
+}
+
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_gamma, bench_gamma_kernel, bench_dcpf, bench_sparse_refactor, bench_measurement_matrix, bench_bdd, bench_detection_probability
+    targets = bench_gamma, bench_gamma_kernel, bench_dcpf, bench_sparse_refactor, bench_measurement_matrix, bench_bdd, bench_detection_probability, bench_detection_scores
 }
 criterion_main!(kernels);

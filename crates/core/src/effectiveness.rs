@@ -157,6 +157,12 @@ const DETECTION_BATCH: usize = 32;
 /// worker threads and is scored through one multi-RHS triangular-solve
 /// pass. Per-attack arithmetic is independent of the batching, so the
 /// result is bit-identical to the serial per-attack loop.
+///
+/// # Errors
+///
+/// Propagates estimator failures, among them
+/// [`gridmtd_estimation::EstimationError::NonFiniteNoncentrality`] for
+/// an attack vector with a NaN or infinite entry.
 pub fn detection_probabilities_parallel(
     bdd: &BadDataDetector,
     attacks: &[FdiAttack],

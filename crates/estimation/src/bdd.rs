@@ -115,11 +115,11 @@ impl BadDataDetector {
     ///
     /// # Errors
     ///
-    /// See [`StateEstimator::residual_statistic`].
+    /// * [`EstimationError::NonFiniteNoncentrality`] if `a` yields a NaN
+    ///   or infinite `λ`;
+    /// * otherwise see [`StateEstimator::residual_statistic`].
     pub fn detection_probability(&self, a: &[f64]) -> Result<f64, EstimationError> {
-        let lambda = self.attack_noncentrality(a)?;
-        let dof = self.estimator.degrees_of_freedom() as f64;
-        Ok(NoncentralChiSquared::new(dof, lambda).sf(self.threshold))
+        self.probability_at(self.attack_noncentrality(a)?)
     }
 
     /// Closed-form detection probabilities for a batch of attack
@@ -132,15 +132,22 @@ impl BadDataDetector {
     ///
     /// # Errors
     ///
-    /// See [`StateEstimator::residual_statistic`].
+    /// See [`BadDataDetector::detection_probability`].
     pub fn detection_probabilities(&self, attacks: &[&[f64]]) -> Result<Vec<f64>, EstimationError> {
-        let dof = self.estimator.degrees_of_freedom() as f64;
-        Ok(self
-            .estimator
+        self.estimator
             .residual_statistics(attacks)?
             .into_iter()
-            .map(|lambda| NoncentralChiSquared::new(dof, lambda).sf(self.threshold))
-            .collect())
+            .map(|lambda| self.probability_at(lambda))
+            .collect()
+    }
+
+    /// `P(J ≥ τ²)` for `J ~ χ²_nc(M − n, λ)`.
+    fn probability_at(&self, lambda: f64) -> Result<f64, EstimationError> {
+        if !lambda.is_finite() {
+            return Err(EstimationError::NonFiniteNoncentrality);
+        }
+        let dof = self.estimator.degrees_of_freedom() as f64;
+        Ok(NoncentralChiSquared::new(dof, lambda).sf(self.threshold))
     }
 }
 
@@ -232,6 +239,28 @@ mod tests {
             (mc - analytic).abs() < 0.03,
             "MC {mc} vs analytic {analytic}"
         );
+    }
+
+    #[test]
+    fn non_finite_attack_is_an_error_not_a_panic() {
+        let (bdd, _) = detector(5e-4);
+        let m = bdd.estimator().n_measurements();
+        let good = vec![1.0; m];
+        let mut bad = good.clone();
+        bad[3] = f64::NAN;
+        let mut huge = good.clone();
+        huge[0] = f64::INFINITY;
+        for a in [&bad, &huge] {
+            assert_eq!(
+                bdd.detection_probability(a),
+                Err(EstimationError::NonFiniteNoncentrality)
+            );
+        }
+        assert_eq!(
+            bdd.detection_probabilities(&[&good, &bad]),
+            Err(EstimationError::NonFiniteNoncentrality)
+        );
+        assert!(bdd.detection_probabilities(&[&good]).is_ok());
     }
 
     #[test]

@@ -88,6 +88,10 @@ pub enum EstimationError {
         /// Provided length.
         actual: usize,
     },
+    /// An attack's residual noncentrality `λ` is NaN or infinite (the
+    /// attack vector carries a non-finite entry), so it has no detection
+    /// probability.
+    NonFiniteNoncentrality,
     /// Underlying numerical failure.
     Numerical(LinalgError),
 }
@@ -106,6 +110,9 @@ impl fmt::Display for EstimationError {
                     f,
                     "measurement vector has length {actual}, expected {expected}"
                 )
+            }
+            EstimationError::NonFiniteNoncentrality => {
+                write!(f, "attack noncentrality is not finite")
             }
             EstimationError::Numerical(e) => write!(f, "numerical failure: {e}"),
         }

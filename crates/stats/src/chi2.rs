@@ -8,8 +8,12 @@
 //! * under attack `a` and MTD `H'`: a **noncentral** χ² with the same
 //!   degrees of freedom and noncentrality `λ = ‖r'_a‖²_W` (Appendix B of
 //!   the paper), which gives the detection probability in closed form.
+//!
+//! The noncentral tails are Poisson mixtures of central ones; they are
+//! evaluated with one incomplete gamma per call and a recurrence walk
+//! over the Poisson weights (AS 275), see [`NoncentralChiSquared`].
 
-use crate::gamma::{reg_lower_gamma, reg_upper_gamma};
+use crate::gamma::{ln_gamma, reg_lower_gamma, reg_upper_gamma};
 
 /// Central χ² distribution with `k` degrees of freedom.
 ///
@@ -110,9 +114,18 @@ impl ChiSquared {
 /// Noncentral χ² distribution with `k` degrees of freedom and
 /// noncentrality `lambda`.
 ///
-/// The CDF is evaluated as the Poisson(λ/2) mixture of central χ² CDFs:
-/// `F(x; k, λ) = Σ_j e^{−λ/2} (λ/2)^j / j! · F(x; k + 2j)`, summed outward
-/// from the modal Poisson index for numerical robustness at large λ.
+/// Both tails are the Poisson(λ/2) mixture of central χ² tails,
+/// `F(x; k, λ) = Σ_j e^{−λ/2} (λ/2)^j / j! · P(k/2 + j, x/2)` (and the
+/// same with `Q = 1 − P` for the survival function), evaluated as a walk
+/// over the Poisson weights (Ding 1992, AS 275; Benton & Krishnamoorthy
+/// 2003). One regularized incomplete gamma is evaluated at the modal
+/// index `j₀ = ⌊λ/2⌋`; every other term follows from its neighbour by
+/// the recurrence `Q(a + 1, y) = Q(a, y) + t(a)` (mirrored,
+/// `P(a + 1, y) = P(a, y) − t(a)`), where `t(a) = yᵃe⁻ʸ/Γ(a + 1)` costs
+/// one multiplication per step. The walk runs outward from `j₀` in both
+/// directions until the Poisson weights are exhausted (`O(√λ)` steps of
+/// a few flops each), so a call evaluates one incomplete gamma whatever
+/// `λ` is, and large `λ` never underflows the weights.
 ///
 /// # Example
 ///
@@ -129,6 +142,14 @@ impl ChiSquared {
 pub struct NoncentralChiSquared {
     k: f64,
     lambda: f64,
+}
+
+/// The tail a Poisson walk mixes: `P(a, y)` for the CDF, `Q(a, y)` for
+/// the survival function.
+#[derive(Debug, Clone, Copy)]
+enum Tail {
+    Lower,
+    Upper,
 }
 
 impl NoncentralChiSquared {
@@ -169,7 +190,7 @@ impl NoncentralChiSquared {
         2.0 * (self.k + 2.0 * self.lambda)
     }
 
-    /// Cumulative distribution function.
+    /// Cumulative distribution function `P(X ≤ x)`.
     pub fn cdf(&self, x: f64) -> f64 {
         if x <= 0.0 {
             return 0.0;
@@ -177,49 +198,13 @@ impl NoncentralChiSquared {
         if self.lambda == 0.0 {
             return ChiSquared::new(self.k).cdf(x);
         }
-        let half = self.lambda / 2.0;
-        // Start at the modal Poisson term and expand outward until the
-        // accumulated weight is (numerically) complete.
-        let j0 = half.floor() as i64;
-        let ln_w0 = -half + (j0 as f64) * half.ln() - crate::gamma::ln_gamma(j0 as f64 + 1.0);
-        let w0 = ln_w0.exp();
-
-        let mut total = w0 * reg_lower_gamma(self.k / 2.0 + j0 as f64, x / 2.0);
-        let mut weight_sum = w0;
-
-        // upward
-        let mut w = w0;
-        let mut j = j0;
-        while weight_sum < 1.0 - 1e-14 {
-            j += 1;
-            w *= half / j as f64;
-            if w < 1e-18 && j > j0 + 4 {
-                break;
-            }
-            total += w * reg_lower_gamma(self.k / 2.0 + j as f64, x / 2.0);
-            weight_sum += w;
-            if j - j0 > 10_000 {
-                break;
-            }
-        }
-        // downward
-        let mut w = w0;
-        let mut j = j0;
-        while j > 0 {
-            w *= j as f64 / half;
-            j -= 1;
-            if w < 1e-18 && j0 - j > 4 {
-                break;
-            }
-            total += w * reg_lower_gamma(self.k / 2.0 + j as f64, x / 2.0);
-        }
-        total.clamp(0.0, 1.0)
+        self.poisson_walk(x, Tail::Lower)
     }
 
     /// Survival function `P(X > x)`.
     ///
-    /// Mirrors [`NoncentralChiSquared::cdf`] but mixes the central χ²
-    /// survival functions so the upper tail retains relative precision.
+    /// Walks the central survival functions `Q` themselves, never
+    /// `1 − P`, so the upper tail retains relative precision.
     pub fn sf(&self, x: f64) -> f64 {
         if x <= 0.0 {
             return 1.0;
@@ -227,37 +212,65 @@ impl NoncentralChiSquared {
         if self.lambda == 0.0 {
             return ChiSquared::new(self.k).sf(x);
         }
-        let half = self.lambda / 2.0;
-        let j0 = half.floor() as i64;
-        let ln_w0 = -half + (j0 as f64) * half.ln() - crate::gamma::ln_gamma(j0 as f64 + 1.0);
-        let w0 = ln_w0.exp();
+        self.poisson_walk(x, Tail::Upper)
+    }
 
-        let mut total = w0 * reg_upper_gamma(self.k / 2.0 + j0 as f64, x / 2.0);
+    /// `Σ_j w_j G(k/2 + j, x/2)` with Poisson(λ/2) weights `w_j` and `G`
+    /// the regularized incomplete gamma of `tail`, for `x > 0`, `λ > 0`.
+    ///
+    /// `G` is evaluated once, at the modal index; the walk steps it with
+    /// `t(a) = yᵃe⁻ʸ/Γ(a + 1)`, which moves `Q` up and `P` down as `a`
+    /// grows. Every step is clamped into `[0, 1]`, so rounding never
+    /// drives a vanishing tail negative. The walk stops where the
+    /// Poisson weights are exhausted: above the mode once the weights
+    /// summed so far reach `1 − 10⁻¹⁴` or fall below `10⁻¹⁸`, below it
+    /// once they fall below `10⁻¹⁸`.
+    fn poisson_walk(&self, x: f64, tail: Tail) -> f64 {
+        let half = self.lambda / 2.0;
+        let y = x / 2.0;
+        let a0 = self.k / 2.0;
+        let j0 = half.floor() as i64;
+        let a_mode = a0 + j0 as f64;
+        let w0 = (-half + (j0 as f64) * half.ln() - ln_gamma(j0 as f64 + 1.0)).exp();
+        let t0 = (a_mode * y.ln() - y - ln_gamma(a_mode + 1.0)).exp();
+        // Sign of `t(a)` in `G(a + 1) = G(a) ± t(a)`.
+        let (g0, up) = match tail {
+            Tail::Lower => (reg_lower_gamma(a_mode, y), -1.0),
+            Tail::Upper => (reg_upper_gamma(a_mode, y), 1.0),
+        };
+
+        let mut total = w0 * g0;
         let mut weight_sum = w0;
 
-        let mut w = w0;
-        let mut j = j0;
+        // Upward: once `j` is incremented, `g` and `t` still hold
+        // `G(a0 + j − 1)` and `t(a0 + j − 1)`.
+        let (mut w, mut g, mut t, mut j) = (w0, g0, t0, j0);
         while weight_sum < 1.0 - 1e-14 {
             j += 1;
             w *= half / j as f64;
             if w < 1e-18 && j > j0 + 4 {
                 break;
             }
-            total += w * reg_upper_gamma(self.k / 2.0 + j as f64, x / 2.0);
+            g = (g + up * t).clamp(0.0, 1.0);
+            t *= y / (a0 + j as f64);
+            total += w * g;
             weight_sum += w;
             if j - j0 > 10_000 {
                 break;
             }
         }
-        let mut w = w0;
-        let mut j = j0;
+        // Downward: once `j` is decremented, `g` and `t` still hold
+        // `G(a0 + j + 1)` and `t(a0 + j + 1)`.
+        let (mut w, mut g, mut t, mut j) = (w0, g0, t0, j0);
         while j > 0 {
             w *= j as f64 / half;
             j -= 1;
             if w < 1e-18 && j0 - j > 4 {
                 break;
             }
-            total += w * reg_upper_gamma(self.k / 2.0 + j as f64, x / 2.0);
+            t *= (a0 + j as f64 + 1.0) / y;
+            g = (g - up * t).clamp(0.0, 1.0);
+            total += w * g;
         }
         total.clamp(0.0, 1.0)
     }
