@@ -4,7 +4,8 @@
 //! angle spectrum, the dense differentiable `sin²γ` state and the
 //! selection's low-rank one), DC power flow,
 //! WLS + BDD residual evaluation and closed-form attack scoring (one
-//! attack on case14, the paper's 1000-attack ensemble on case118).
+//! attack on case14; the paper's 1000-attack ensemble on case118, by
+//! WLS residuals and through the session's low-rank scorer).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
@@ -189,11 +190,20 @@ fn bench_detection_probability(c: &mut Criterion) {
 }
 
 /// Closed-form scoring of the paper's 1000-attack case118 ensemble
-/// against one seeded D-FACTS perturbation: the batched WLS residuals
-/// `λ` and one noncentral-χ² tail per attack, fanned out across the
-/// worker threads as every evaluation runs it. Set-up (case118 session,
+/// against one seeded D-FACTS perturbation, two ways:
+///
+/// * `detection_scores/case118_1000`: the residual path, the detector's
+///   definition of `λ` (batched WLS residuals of every attack vector)
+///   and one noncentral-χ² tail per attack, on a prebuilt detector;
+/// * `session_detection/case118_1000`: what every session evaluation
+///   runs, `MtdSession::detection_probabilities`: the `H(x_post)` build,
+///   the detector's numeric gain factorization, the low-rank
+///   factorization of the perturbation's range and one `‖T·u‖²` plus
+///   one tail per attack.
+///
+/// Both fan out across the worker threads. Set-up (case118 session,
 /// ensemble, post-MTD detector) runs seconds, so it is lazy: a filtered
-/// run that excludes the row never pays for it.
+/// run that excludes both rows never pays for it.
 fn bench_detection_scores(c: &mut Criterion) {
     let setup = || {
         let session = MtdSession::builder(cases::case118()).build().unwrap();
@@ -213,12 +223,19 @@ fn bench_detection_scores(c: &mut Criterion) {
         let h_post = net.measurement_matrix(&x_post).unwrap();
         let noise = NoiseModel::uniform(h_post.rows(), cfg.noise_sigma_mw);
         let bdd = BadDataDetector::new(StateEstimator::new(h_post, &noise).unwrap(), cfg.alpha);
-        (bdd, attacks)
+        // Warm the session's gain symbolic, as an evaluating session is.
+        session.detection_probabilities(&x_post).unwrap();
+        (session, x_post, bdd, attacks)
     };
-    let state: OnceLock<(BadDataDetector, Vec<FdiAttack>)> = OnceLock::new();
+    type State = (MtdSession, Vec<f64>, BadDataDetector, Vec<FdiAttack>);
+    let state: OnceLock<State> = OnceLock::new();
     c.bench_function("detection_scores/case118_1000", |b| {
-        let (bdd, attacks) = state.get_or_init(setup);
+        let (_, _, bdd, attacks) = state.get_or_init(setup);
         b.iter(|| detection_probabilities_parallel(black_box(bdd), attacks).unwrap())
+    });
+    c.bench_function("session_detection/case118_1000", |b| {
+        let (session, x_post, _, _) = state.get_or_init(setup);
+        b.iter(|| session.detection_probabilities(black_box(x_post)).unwrap())
     });
 }
 

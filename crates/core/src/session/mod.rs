@@ -71,6 +71,7 @@ use gridmtd_traces::LoadTrace;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::effectiveness::EnsembleNoncentrality;
 use crate::timeline::HourOutcome;
 use crate::tradeoff::{eta_grid, RandomTrial, TradeoffCurve, TradeoffPoint};
 use crate::{
@@ -566,7 +567,9 @@ impl MtdSession {
     }
 
     /// Scores a perturbation `x_pre → x_post` against the session's
-    /// cached attack ensemble.
+    /// cached attack ensemble: the largest and smallest principal
+    /// angles from the dense pencil, and the detection probabilities of
+    /// [`MtdSession::detection_probabilities`].
     ///
     /// # Errors
     ///
@@ -576,6 +579,18 @@ impl MtdSession {
             let attacks = self.attacks()?;
             self.evaluate_against(&self.net, x_post, attacks)
         })
+    }
+
+    /// The noncentrality scorer of `x_pre → x_post` under the post-MTD
+    /// detector `bdd`: exact for every ensemble the session crafts
+    /// against `H(x_pre)` (see [`effectiveness`]).
+    fn ensemble_scorer(
+        &self,
+        net: &Network,
+        x_post: &[f64],
+        bdd: &BadDataDetector,
+    ) -> Result<EnsembleNoncentrality, MtdError> {
+        EnsembleNoncentrality::new(net, &self.x_pre, x_post, bdd.estimator())
     }
 
     /// [`MtdSession::evaluate`] against an explicit ensemble and network
@@ -590,7 +605,9 @@ impl MtdSession {
         let h_post = net.measurement_matrix(x_post)?;
         let (gamma, smallest_angle) = self.gamma_basis()?.gamma_and_smallest_to(&h_post)?;
         let bdd = self.detector(h_post)?;
-        let detection_probs = effectiveness::detection_probabilities_parallel(&bdd, attacks)?;
+        let detection_probs = self
+            .ensemble_scorer(net, x_post, &bdd)?
+            .probabilities_parallel(&bdd, attacks)?;
         Ok(MtdEvaluation {
             gamma,
             smallest_angle,
@@ -600,7 +617,10 @@ impl MtdSession {
 
     /// Per-attack post-MTD detection probabilities of the cached
     /// ensemble under a candidate `x_post` (the raw series behind
-    /// `η'(δ)`).
+    /// `η'(δ)`), each attack's `λ` read off the low-rank range of the
+    /// perturbation ([`effectiveness`] module docs). They agree with
+    /// the detector's residual of each attack vector within 1e-12;
+    /// [`MtdSession::evaluate`] returns the same bits.
     ///
     /// # Errors
     ///
@@ -609,7 +629,8 @@ impl MtdSession {
         self.scoped(|| {
             let attacks = self.attacks()?;
             let bdd = self.detector(self.net.measurement_matrix(x_post)?)?;
-            effectiveness::detection_probabilities_parallel(&bdd, attacks)
+            self.ensemble_scorer(&self.net, x_post, &bdd)?
+                .probabilities_parallel(&bdd, attacks)
         })
     }
 
@@ -690,37 +711,22 @@ impl MtdSession {
         n_trials: usize,
         deltas: &[f64],
     ) -> Result<Vec<RandomTrial>, MtdError> {
-        let attacks = self.attacks()?;
-        self.keyspace_study_with_attacks(attacks, fraction, n_trials, deltas)
+        self.scoped(|| self.keyspace_study_inner(fraction, n_trials, deltas))
     }
 
-    /// [`MtdSession::keyspace_study`] against an explicit ensemble
-    /// (trial `t` draws its perturbation from a stream derived by
+    /// Trial `t` draws its perturbation from a stream derived by
     /// [`crate::seedstream::mix`]`(seed + 0xfeed, t)`, so the study is a
     /// pure function of its arguments for any worker count and trial
-    /// streams never collide between nearby seeds — the variant axes a
-    /// batch sweeps).
-    ///
-    /// # Errors
-    ///
-    /// Propagates model failures.
-    pub fn keyspace_study_with_attacks(
-        &self,
-        attacks: &[FdiAttack],
-        fraction: f64,
-        n_trials: usize,
-        deltas: &[f64],
-    ) -> Result<Vec<RandomTrial>, MtdError> {
-        self.scoped(|| self.keyspace_study_inner(attacks, fraction, n_trials, deltas))
-    }
-
+    /// streams never collide between nearby seeds (the variant axes a
+    /// batch sweeps). Each trial scores the ensemble serially: the
+    /// trials are the fan-out.
     fn keyspace_study_inner(
         &self,
-        attacks: &[FdiAttack],
         fraction: f64,
         n_trials: usize,
         deltas: &[f64],
     ) -> Result<Vec<RandomTrial>, MtdError> {
+        let attacks = self.attacks()?;
         let base = crate::seedstream::domain(self.cfg.seed, 0xfeed);
         let basis = self.gamma_basis()?;
         let trial_ids: Vec<u64> = (0..n_trials as u64).collect();
@@ -733,7 +739,9 @@ impl MtdSession {
             // Angles first so `h_post` can move into the detector
             // unclone'd.
             let bdd = self.detector(h_post)?;
-            let probs = gridmtd_attack::detection_probabilities(&bdd, attacks)?;
+            let probs = self
+                .ensemble_scorer(&self.net, &x_post, &bdd)?
+                .probabilities(&bdd, attacks)?;
             let eval = MtdEvaluation {
                 gamma,
                 smallest_angle,

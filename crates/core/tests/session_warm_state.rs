@@ -12,18 +12,21 @@
 //!   pinned with `gridmtd_estimation::gain_symbolic_analyses`.
 //!
 //! And a warm session's outputs must be **bit-identical** to a fresh
-//! session's and to the public free functions (`spa::gamma`,
-//! `spa::smallest_angle`, `build_attack_set_with_h`,
-//! `detection_probabilities_parallel`) composed by hand, on the
+//! session's, and its angles to the public free functions
+//! (`spa::gamma`, `spa::smallest_angle`) composed by hand, on the
 //! paper-scale cases and on the scaling cases alike (the scenario
 //! goldens pin the same property end to end at the artifact level).
+//! Its detection probabilities come from the low-rank ensemble scorer;
+//! they agree with the residual path (`build_attack_set_with_h` and
+//! `detection_probabilities_parallel` under a hand-built detector)
+//! within 1e-12.
 //!
 //! Everything lives in ONE `#[test]` in its own integration-test
 //! binary: the counters are process-global, so concurrently running
 //! tests would otherwise inflate the deltas (the pattern of
 //! `timeline_rebuilds.rs`).
 
-use gridmtd_core::{effectiveness, spa, MtdConfig, MtdEvaluation, MtdSession};
+use gridmtd_core::{effectiveness, spa, MtdConfig, MtdSession};
 use gridmtd_estimation::{gain_symbolic_analyses, BadDataDetector, NoiseModel, StateEstimator};
 use gridmtd_powergrid::{cases, stats, Network};
 
@@ -190,8 +193,8 @@ fn session_reuses_warm_state_and_matches_free_functions() {
 
     // ------------------------------------------------------------------
     // case118: the largest gated case — evaluation and raw detection
-    // probabilities, session vs the free functions composed by hand, to
-    // the bit.
+    // probabilities, session vs the free functions composed by hand: the
+    // ensemble and the angles to the bit, the probabilities within 1e-12.
     // ------------------------------------------------------------------
     let net118 = cases::case118();
     let cfg118 = MtdConfig {
@@ -215,25 +218,41 @@ fn session_reuses_warm_state_and_matches_free_functions() {
     let attacks118 =
         effectiveness::build_attack_set_with_h(&net118, &h118, &x118, &opf118.dispatch, &cfg118)
             .unwrap();
+    assert_eq!(
+        session118.attacks().unwrap(),
+        attacks118.as_slice(),
+        "case118 session ensemble must be bit-identical to the free path"
+    );
     let free_probs = {
         let noise = NoiseModel::uniform(h_post118.rows(), cfg118.noise_sigma_mw);
         let est = StateEstimator::new(h_post118.clone(), &noise).unwrap();
         let bdd = BadDataDetector::new(est, cfg118.alpha);
         effectiveness::detection_probabilities_parallel(&bdd, &attacks118).unwrap()
     };
-    let free_eval = MtdEvaluation {
-        gamma: spa::gamma(&h118, &h_post118).unwrap(),
-        smallest_angle: spa::smallest_angle(&h118, &h_post118).unwrap(),
-        detection_probs: free_probs.clone(),
-    };
     assert_eq!(
-        free_eval, sess_eval,
-        "case118 session evaluation must be bit-identical to the free path"
+        sess_eval.gamma.to_bits(),
+        spa::gamma(&h118, &h_post118).unwrap().to_bits(),
+        "case118 session γ must be bit-identical to the free path"
+    );
+    assert_eq!(
+        sess_eval.smallest_angle.to_bits(),
+        spa::smallest_angle(&h118, &h_post118).unwrap().to_bits(),
+        "case118 session smallest angle must be bit-identical to the free path"
     );
     let sess_probs = session118.detection_probabilities(&x_post118).unwrap();
     assert_eq!(
-        free_probs.iter().map(|p| p.to_bits()).collect::<Vec<u64>>(),
-        sess_probs.iter().map(|p| p.to_bits()).collect::<Vec<u64>>(),
-        "case118 detection probabilities must agree to the bit"
+        sess_eval.detection_probs, sess_probs,
+        "evaluate and detection_probabilities score through one path"
     );
+    // The session scores its ensemble through the low-rank range of the
+    // perturbation, the free path by WLS residuals: the two agree to
+    // the pipeline's 1e-12 (crates/core/tests/detection_agreement.rs),
+    // not to the bit.
+    assert_eq!(free_probs.len(), sess_probs.len());
+    for (i, (free, sess)) in free_probs.iter().zip(&sess_probs).enumerate() {
+        assert!(
+            (free - sess).abs() <= 1e-12,
+            "case118 attack {i}: session {sess} vs residual path {free}"
+        );
+    }
 }

@@ -141,10 +141,21 @@ impl BadDataDetector {
             .collect()
     }
 
-    /// `P(J ≥ τ²)` for `J ~ χ²_nc(M − n, λ)`.
-    fn probability_at(&self, lambda: f64) -> Result<f64, EstimationError> {
+    /// `P(J ≥ τ²)` for `J ~ χ²_nc(M − n, λ)`: the detection probability
+    /// of any attack whose noncentrality under this detector is `lambda`,
+    /// however that `λ` was computed.
+    ///
+    /// # Errors
+    ///
+    /// * [`EstimationError::NonFiniteNoncentrality`] for a NaN or
+    ///   infinite `lambda`;
+    /// * [`EstimationError::NegativeNoncentrality`] for `lambda < 0`.
+    pub fn probability_at(&self, lambda: f64) -> Result<f64, EstimationError> {
         if !lambda.is_finite() {
             return Err(EstimationError::NonFiniteNoncentrality);
+        }
+        if lambda < 0.0 {
+            return Err(EstimationError::NegativeNoncentrality);
         }
         let dof = self.estimator.degrees_of_freedom() as f64;
         Ok(NoncentralChiSquared::new(dof, lambda).sf(self.threshold))
@@ -261,6 +272,24 @@ mod tests {
             Err(EstimationError::NonFiniteNoncentrality)
         );
         assert!(bdd.detection_probabilities(&[&good]).is_ok());
+    }
+
+    #[test]
+    fn negative_noncentrality_is_an_error_not_a_panic() {
+        // A λ assembled as a difference of quadratic forms can round
+        // below zero; `NoncentralChiSquared::new` would panic on it.
+        let (bdd, _) = detector(5e-4);
+        for lambda in [-2.1e-13, -1.0, f64::NEG_INFINITY] {
+            assert!(bdd.probability_at(lambda).is_err(), "λ = {lambda}");
+        }
+        assert_eq!(
+            bdd.probability_at(-2.1e-13),
+            Err(EstimationError::NegativeNoncentrality)
+        );
+        let dof = bdd.estimator().degrees_of_freedom() as f64;
+        let central = ChiSquared::new(dof).sf(bdd.threshold());
+        assert_eq!(bdd.probability_at(-0.0), Ok(central));
+        assert_eq!(bdd.probability_at(0.0), Ok(central));
     }
 
     #[test]

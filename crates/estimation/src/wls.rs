@@ -92,6 +92,10 @@ pub enum EstimationError {
     /// attack vector carries a non-finite entry), so it has no detection
     /// probability.
     NonFiniteNoncentrality,
+    /// A noncentrality `λ` below zero was asked for a detection
+    /// probability; `λ = ‖r‖²_W` is a sum of squares, so a negative one
+    /// comes from a caller's arithmetic, not from an attack.
+    NegativeNoncentrality,
     /// Underlying numerical failure.
     Numerical(LinalgError),
 }
@@ -113,6 +117,9 @@ impl fmt::Display for EstimationError {
             }
             EstimationError::NonFiniteNoncentrality => {
                 write!(f, "attack noncentrality is not finite")
+            }
+            EstimationError::NegativeNoncentrality => {
+                write!(f, "attack noncentrality is negative")
             }
             EstimationError::Numerical(e) => write!(f, "numerical failure: {e}"),
         }
@@ -360,6 +367,56 @@ impl StateEstimator {
             .collect()
     }
 
+    /// Weighted residuals `W^½(Z − Hθ̂(Z))` of every column of the
+    /// `M × k` block `z` (overwritten with them), through one multi-RHS
+    /// solve of the factored gain. Column `j`'s squared norm is
+    /// `J(z_j)`. A block whose columns span a family of measurement
+    /// vectors (the `k` branch stamps an MTD perturbation moves, say)
+    /// gives every member's `J` from the block's `k × k` QR triangle,
+    /// without a solve per member.
+    ///
+    /// # Errors
+    ///
+    /// [`EstimationError::DimensionMismatch`] if `z` does not have `M`
+    /// rows.
+    pub fn weighted_residual_block(&self, mut z: Matrix) -> Result<Matrix, EstimationError> {
+        if z.rows() != self.n_measurements() {
+            return Err(EstimationError::DimensionMismatch {
+                expected: self.n_measurements(),
+                actual: z.rows(),
+            });
+        }
+        let h = &self.h_sparse;
+        let (rows, vals) = (h.row_indices(), h.values());
+        // HᵀWZ: row `j` gathers the measurement rows of column `j` of H.
+        let mut rhs = Matrix::zeros(self.n_states(), z.cols());
+        for j in 0..self.n_states() {
+            let out = rhs.row_mut(j);
+            for p in h.col_range(j) {
+                let v = vals[p] * self.weights[rows[p]];
+                for (o, &zi) in out.iter_mut().zip(z.row(rows[p])) {
+                    *o += v * zi;
+                }
+            }
+        }
+        let theta = self.gain.solve_matrix(&rhs)?;
+        for j in 0..self.n_states() {
+            let t = theta.row(j);
+            for p in h.col_range(j) {
+                for (zi, &tj) in z.row_mut(rows[p]).iter_mut().zip(t) {
+                    *zi -= vals[p] * tj;
+                }
+            }
+        }
+        for (i, &w) in self.weights.iter().enumerate() {
+            let s = w.sqrt();
+            for v in z.row_mut(i) {
+                *v *= s;
+            }
+        }
+        Ok(z)
+    }
+
     /// Weighted residual statistic `J(z) = Σ wᵢ rᵢ² = ‖z − Hθ̂‖²_W`.
     ///
     /// Under Gaussian noise and no attack, `J ~ χ²(M − n)`; under attack
@@ -506,6 +563,33 @@ mod tests {
         }
         // Wrong-length vector in a batch is reported.
         assert!(est.estimate_batch(&[&[1.0]]).is_err());
+    }
+
+    #[test]
+    fn residual_block_columns_carry_each_residual_statistic() {
+        let (_, est, z) = case14_setup();
+        let m = est.n_measurements();
+        let zs: Vec<Vec<f64>> = (0..3)
+            .map(|k| {
+                (0..m)
+                    .map(|i| z[i] + ((i * (k + 2)) % 7) as f64 - 3.0)
+                    .collect()
+            })
+            .collect();
+        let block = Matrix::from_fn(m, zs.len(), |i, j| zs[j][i]);
+        let r = est.weighted_residual_block(block).unwrap();
+        for (j, zj) in zs.iter().enumerate() {
+            let j_block: f64 = r.col(j).iter().map(|v| v * v).sum();
+            let j_single = est.residual_statistic(zj).unwrap();
+            assert!(
+                (j_block - j_single).abs() <= 1e-10 * j_single,
+                "column {j}: {j_block} vs {j_single}"
+            );
+        }
+        assert!(matches!(
+            est.weighted_residual_block(Matrix::zeros(m - 1, 2)),
+            Err(EstimationError::DimensionMismatch { .. })
+        ));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! evaluated with one incomplete gamma per call and a recurrence walk
 //! over the Poisson weights (AS 275), see [`NoncentralChiSquared`].
 
-use crate::gamma::{ln_gamma, reg_lower_gamma, reg_upper_gamma};
+use crate::gamma::{ln_poisson_pmf, reg_lower_gamma, reg_upper_gamma};
 
 /// Central χ² distribution with `k` degrees of freedom.
 ///
@@ -123,9 +123,10 @@ impl ChiSquared {
 /// the recurrence `Q(a + 1, y) = Q(a, y) + t(a)` (mirrored,
 /// `P(a + 1, y) = P(a, y) − t(a)`), where `t(a) = yᵃe⁻ʸ/Γ(a + 1)` costs
 /// one multiplication per step. The walk runs outward from `j₀` in both
-/// directions until the Poisson weights are exhausted (`O(√λ)` steps of
-/// a few flops each), so a call evaluates one incomplete gamma whatever
-/// `λ` is, and large `λ` never underflows the weights.
+/// directions until the Poisson weights are exhausted and the terms are
+/// negligible against the sum (`O(√λ)` steps of a few flops each near
+/// the bulk), so a call evaluates one incomplete gamma whatever `λ` is,
+/// and large `λ` never underflows the weights.
 ///
 /// # Example
 ///
@@ -191,6 +192,9 @@ impl NoncentralChiSquared {
     }
 
     /// Cumulative distribution function `P(X ≤ x)`.
+    ///
+    /// Walks the smaller tail and complements it above the mean, as
+    /// [`NoncentralChiSquared::sf`] does below it.
     pub fn cdf(&self, x: f64) -> f64 {
         if x <= 0.0 {
             return 0.0;
@@ -198,19 +202,30 @@ impl NoncentralChiSquared {
         if self.lambda == 0.0 {
             return ChiSquared::new(self.k).cdf(x);
         }
+        if x > self.mean() {
+            return 1.0 - self.poisson_walk(x, Tail::Upper);
+        }
         self.poisson_walk(x, Tail::Lower)
     }
 
     /// Survival function `P(X > x)`.
     ///
-    /// Walks the central survival functions `Q` themselves, never
-    /// `1 − P`, so the upper tail retains relative precision.
+    /// Above the mean it walks the central survival functions `Q`
+    /// themselves, never `1 − P`, so the upper tail retains relative
+    /// precision. Below the mean it returns `1 − cdf`: the walk sums
+    /// weights that add up to one only to a few ulps, so walking `Q`
+    /// there drifts a few ulps below one where the lower tail is far
+    /// under `10⁻¹⁶`, while the complement of the small tail rounds to
+    /// the nearest double.
     pub fn sf(&self, x: f64) -> f64 {
         if x <= 0.0 {
             return 1.0;
         }
         if self.lambda == 0.0 {
             return ChiSquared::new(self.k).sf(x);
+        }
+        if x < self.mean() {
+            return 1.0 - self.poisson_walk(x, Tail::Lower);
         }
         self.poisson_walk(x, Tail::Upper)
     }
@@ -221,18 +236,27 @@ impl NoncentralChiSquared {
     /// `G` is evaluated once, at the modal index; the walk steps it with
     /// `t(a) = yᵃe⁻ʸ/Γ(a + 1)`, which moves `Q` up and `P` down as `a`
     /// grows. Every step is clamped into `[0, 1]`, so rounding never
-    /// drives a vanishing tail negative. The walk stops where the
-    /// Poisson weights are exhausted: above the mode once the weights
-    /// summed so far reach `1 − 10⁻¹⁴` or fall below `10⁻¹⁸`, below it
-    /// once they fall below `10⁻¹⁸`.
+    /// drives a vanishing tail negative. The modal weight and `t` are
+    /// taken from [`ln_poisson_pmf`], which keeps their logarithms to
+    /// about 1e-15 absolute even where the direct form
+    /// `j ln(λ/2) − λ/2 − ln Γ(j + 1)` cancels terms of size 1e4.
+    ///
+    /// Each direction stops once its Poisson weights are exhausted
+    /// (above the mode: the weights summed so far reach `1 − 10⁻¹⁴` or
+    /// fall below `10⁻¹⁸`; below it: they fall below `10⁻¹⁸`) **and**
+    /// its terms are negligible (`w·G ≤ 10⁻¹⁷·total`). The weights alone
+    /// are not enough: above the mean `Q(k/2 + j, x/2)` grows with `j`,
+    /// so far in the upper tail the terms past the last sizeable weight
+    /// still carry much of a tiny survival probability.
     fn poisson_walk(&self, x: f64, tail: Tail) -> f64 {
+        const TERM_EPS: f64 = 1e-17;
         let half = self.lambda / 2.0;
         let y = x / 2.0;
         let a0 = self.k / 2.0;
         let j0 = half.floor() as i64;
         let a_mode = a0 + j0 as f64;
-        let w0 = (-half + (j0 as f64) * half.ln() - ln_gamma(j0 as f64 + 1.0)).exp();
-        let t0 = (a_mode * y.ln() - y - ln_gamma(a_mode + 1.0)).exp();
+        let w0 = ln_poisson_pmf(j0 as f64, half).exp();
+        let t0 = ln_poisson_pmf(a_mode, y).exp();
         // Sign of `t(a)` in `G(a + 1) = G(a) ± t(a)`.
         let (g0, up) = match tail {
             Tail::Lower => (reg_lower_gamma(a_mode, y), -1.0),
@@ -245,17 +269,15 @@ impl NoncentralChiSquared {
         // Upward: once `j` is incremented, `g` and `t` still hold
         // `G(a0 + j − 1)` and `t(a0 + j − 1)`.
         let (mut w, mut g, mut t, mut j) = (w0, g0, t0, j0);
-        while weight_sum < 1.0 - 1e-14 {
+        loop {
             j += 1;
             w *= half / j as f64;
-            if w < 1e-18 && j > j0 + 4 {
-                break;
-            }
             g = (g + up * t).clamp(0.0, 1.0);
             t *= y / (a0 + j as f64);
             total += w * g;
             weight_sum += w;
-            if j - j0 > 10_000 {
+            let weights_done = weight_sum >= 1.0 - 1e-14 || (w < 1e-18 && j > j0 + 4);
+            if (weights_done && w * g <= TERM_EPS * total) || j - j0 > 10_000 {
                 break;
             }
         }
@@ -265,12 +287,12 @@ impl NoncentralChiSquared {
         while j > 0 {
             w *= j as f64 / half;
             j -= 1;
-            if w < 1e-18 && j0 - j > 4 {
-                break;
-            }
             t *= (a0 + j as f64 + 1.0) / y;
             g = (g - up * t).clamp(0.0, 1.0);
             total += w * g;
+            if w < 1e-18 && j0 - j > 4 && w * g <= TERM_EPS * total {
+                break;
+            }
         }
         total.clamp(0.0, 1.0)
     }

@@ -107,3 +107,49 @@ fn sf_and_cdf_are_complementary_on_the_grid() {
         );
     });
 }
+
+/// Far upper-tail points where a walk that stops on the Poisson weights
+/// alone dropped terms that still carry most of a tiny survival
+/// probability (up to 5.9e-4 relative).
+#[test]
+fn far_upper_tail_keeps_relative_precision() {
+    for (k, lambda, sds) in [(1.0, 1.0, 30.0), (13.0, 10.0, 30.0), (1.0, 10.0, 15.0)] {
+        let d = NoncentralChiSquared::new(k, lambda);
+        let x = d.mean() + sds * d.variance().sqrt();
+        let (got, want) = (d.sf(x), per_term::sf(k, lambda, x));
+        assert!(want > 0.0, "k={k} λ={lambda} x={x}: reference underflowed");
+        let rel = (got - want).abs() / want;
+        assert!(
+            rel <= 1e-10,
+            "k={k} λ={lambda} x={x}: sf {got:e} vs {want:e} ({rel:e} relative)"
+        );
+    }
+}
+
+/// Points where the other tail is far below an ulp of one, so the tail
+/// asked for is one to the nearest double. The first four are case57
+/// attacks against its bad-data detector (161 degrees of freedom,
+/// threshold 226.66), which a walk over `Q` itself had put up to 13
+/// ulps below one; the last three are far upper-tail points, from the
+/// CDF's side.
+#[test]
+fn a_vanishing_tail_complements_to_exactly_one() {
+    const TAU: f64 = 226.664_227_829_290_38;
+    for lambda in [400.0, 766.356_175_918_841_4, 1_200.0, 1_600.0] {
+        let d = NoncentralChiSquared::new(161.0, lambda);
+        let other = per_term::cdf(161.0, lambda, TAU);
+        assert!(other < 1e-17, "λ={lambda}: cdf {other:e}");
+        assert_eq!(d.sf(TAU), 1.0, "λ={lambda}");
+    }
+    for (k, lambda, sds) in [
+        (13.0, 10.0, 60.0),
+        (161.0, 400.0, 20.0),
+        (161.0, 1_200.0, 20.0),
+    ] {
+        let d = NoncentralChiSquared::new(k, lambda);
+        let x = d.mean() + sds * d.variance().sqrt();
+        let other = per_term::sf(k, lambda, x);
+        assert!(other < 1e-17, "k={k} λ={lambda}: sf {other:e}");
+        assert_eq!(d.cdf(x), 1.0, "k={k} λ={lambda} x={x}");
+    }
+}
