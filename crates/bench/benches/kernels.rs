@@ -201,9 +201,13 @@ fn bench_detection_probability(c: &mut Criterion) {
 ///   factorization of the perturbation's range and one `‖T·u‖²` plus
 ///   one tail per attack.
 ///
-/// Both fan out across the worker threads. Set-up (case118 session,
+/// And the whole of a warm `MtdSession::evaluate` on the same step,
+/// `session_evaluate/case118`: the above plus both principal angles off
+/// the session's γ kernel.
+///
+/// All fan out across the worker threads. Set-up (case118 session,
 /// ensemble, post-MTD detector) runs seconds, so it is lazy: a filtered
-/// run that excludes both rows never pays for it.
+/// run that excludes every row never pays for it.
 fn bench_detection_scores(c: &mut Criterion) {
     let setup = || {
         let session = MtdSession::builder(cases::case118()).build().unwrap();
@@ -223,8 +227,9 @@ fn bench_detection_scores(c: &mut Criterion) {
         let h_post = net.measurement_matrix(&x_post).unwrap();
         let noise = NoiseModel::uniform(h_post.rows(), cfg.noise_sigma_mw);
         let bdd = BadDataDetector::new(StateEstimator::new(h_post, &noise).unwrap(), cfg.alpha);
-        // Warm the session's gain symbolic, as an evaluating session is.
-        session.detection_probabilities(&x_post).unwrap();
+        // Warm the session's gain symbolic and γ kernel, as an
+        // evaluating session is.
+        session.evaluate(&x_post).unwrap();
         (session, x_post, bdd, attacks)
     };
     type State = (MtdSession, Vec<f64>, BadDataDetector, Vec<FdiAttack>);
@@ -236,6 +241,10 @@ fn bench_detection_scores(c: &mut Criterion) {
     c.bench_function("session_detection/case118_1000", |b| {
         let (session, x_post, _, _) = state.get_or_init(setup);
         b.iter(|| session.detection_probabilities(black_box(x_post)).unwrap())
+    });
+    c.bench_function("session_evaluate/case118", |b| {
+        let (session, x_post, _, _) = state.get_or_init(setup);
+        b.iter(|| session.evaluate(black_box(x_post)).unwrap())
     });
 }
 

@@ -34,7 +34,9 @@
 //! `W^½S′H(x_pre)` (`n` columns) cost more than scoring every attack by
 //! its residual (case300, every branch changed, 1000 attacks: 96 ms
 //! against 59 ms), so the scorer reads `λ` off the residual of the
-//! attack vector there.
+//! attack vector there. The changed lines and this `|C| ≥ n` rule are
+//! the γ kernel's (`spa::ChangedLines`), so an evaluation's angles and
+//! its noncentralities leave the low-rank range at the same step.
 //!
 //! That residual path ([`detection_probabilities_parallel`]) is the
 //! detector's definition of `λ` for any attack vector, learning probes
@@ -55,6 +57,7 @@ use gridmtd_powergrid::{dcpf, Network};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::spa::{ChangedLines, LineStep};
 use crate::{MtdConfig, MtdError};
 
 /// Result of evaluating one MTD perturbation against an attack ensemble.
@@ -226,15 +229,6 @@ fn in_chunks(
     Ok(out)
 }
 
-/// One changed line of a perturbation: its reduced terminal columns
-/// (`None`: slack) and its susceptance step `Δ_l`.
-#[derive(Debug, Clone)]
-pub(crate) struct LineStep {
-    from: Option<usize>,
-    to: Option<usize>,
-    delta: f64,
-}
-
 /// The noncentralities of attacks `a = H(x_pre)c` under the detector of
 /// one `x_post` (see the module docs).
 ///
@@ -271,38 +265,27 @@ impl EnsembleNoncentrality {
         x_post: &[f64],
         est: &StateEstimator,
     ) -> Result<EnsembleNoncentrality, MtdError> {
-        let b_pre = net.susceptances(x_pre)?;
-        let b_post = net.susceptances(x_post)?;
-        let changed: Vec<usize> = (0..b_pre.len())
-            .filter(|&l| b_post[l] != b_pre[l])
-            .collect();
-        let n_states = net.n_states();
-        if changed.len() >= n_states {
+        let changed = ChangedLines::between(net, x_pre, x_post)?;
+        if !changed.is_low_rank() {
             return Ok(EnsembleNoncentrality::Residual);
         }
-        let steps = changed
-            .iter()
-            .map(|&l| {
-                let br = net.branch(l);
-                LineStep {
-                    from: net.reduced_index(br.from),
-                    to: net.reduced_index(br.to),
-                    delta: b_post[l] - b_pre[l],
-                }
-            })
-            .collect();
-        let t = if changed.is_empty() {
+        let steps = changed.into_steps();
+        let t = if steps.is_empty() {
             Matrix::zeros(0, 0)
         } else {
-            let mut m_c = Matrix::zeros(net.n_measurements(), changed.len());
-            for (j, &l) in changed.iter().enumerate() {
-                for (row, sign) in net.branch_measurement_rows(l) {
+            let mut m_c = Matrix::zeros(net.n_measurements(), steps.len());
+            for (j, step) in steps.iter().enumerate() {
+                for (row, sign) in net.branch_measurement_rows(step.line()) {
                     m_c[(row, j)] += sign;
                 }
             }
             Qr::factor(&est.weighted_residual_block(m_c)?)?.r()
         };
-        Ok(EnsembleNoncentrality::LowRank { t, steps, n_states })
+        Ok(EnsembleNoncentrality::LowRank {
+            t,
+            steps,
+            n_states: net.n_states(),
+        })
     }
 
     /// Detection probabilities of `attacks` under `bdd` (the detector
@@ -335,7 +318,7 @@ impl EnsembleNoncentrality {
                     });
                 }
                 for (ui, s) in u.iter_mut().zip(steps) {
-                    *ui = s.delta * (s.from.map_or(0.0, |i| c[i]) - s.to.map_or(0.0, |i| c[i]));
+                    *ui = s.apply(c);
                 }
                 // ‖T·u‖² over the upper triangle's rows.
                 let lambda = (0..u.len())

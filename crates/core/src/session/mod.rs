@@ -7,10 +7,11 @@
 //! after hour while the network graph never changes. Everything
 //! expensive in that loop is therefore reusable state:
 //!
-//! * the pre-perturbation measurement matrix `H(x_pre)`, its QR basis
-//!   ([`spa::GammaBasis`]) behind every subspace-angle query on a dense
-//!   matrix, and the low-rank factor of the same `x_pre`
-//!   ([`spa::GammaKernel`]) behind every γ query of a selection;
+//! * the pre-perturbation measurement matrix `H(x_pre)` and its γ
+//!   kernel ([`spa::GammaKernel`]: the QR basis of `Col(H(x_pre))` and
+//!   the low-rank factor of the D-FACTS range) behind every γ query
+//!   between two reactance vectors — the selection's, evaluation's, the
+//!   keyspace trials' and the timeline's;
 //! * the sparse power-flow symbolic factorization
 //!   ([`PfContext`], topology-keyed) behind every
 //!   DC-OPF and dispatch solve;
@@ -386,6 +387,21 @@ impl MtdSession {
         self.warm = WarmCaches::default();
     }
 
+    /// [`MtdSession::set_x_pre`] to an `x_pre` whose `H` and γ kernel
+    /// the caller has built (`h_pre = H(x_pre)`, the kernel from it): the
+    /// new warm caches start from them instead of rebuilding both.
+    fn advance_x_pre(&mut self, x_pre: Vec<f64>, h_pre: Matrix, kernel: spa::GammaKernel) {
+        if x_pre == self.x_pre {
+            return;
+        }
+        self.x_pre = x_pre;
+        self.warm = WarmCaches {
+            h_pre: Arc::new(OnceLock::from(h_pre)),
+            gamma: Arc::new(OnceLock::from(kernel)),
+            ..WarmCaches::default()
+        };
+    }
+
     // ------------------------------------------------------------------
     // Warm caches
     // ------------------------------------------------------------------
@@ -401,9 +417,10 @@ impl MtdSession {
         })
     }
 
-    /// The cached QR basis of `Col(H(x_pre))` behind every γ query on a
-    /// dense matrix (evaluation, keyspace, the timeline's reported
-    /// angles).
+    /// The cached QR basis of `Col(H(x_pre))`, owned by the session's γ
+    /// kernel, for angle queries on arbitrary matrices. Evaluations
+    /// solve the dense pencil against it only for steps that move at
+    /// least `n` lines ([`spa::GammaKernel::gamma_and_smallest_at`]).
     ///
     /// # Errors
     ///
@@ -412,9 +429,9 @@ impl MtdSession {
         Ok(self.gamma_kernel()?.basis())
     }
 
-    /// The cached γ kernel of `x_pre` behind every selection-side γ
-    /// query. It owns [`MtdSession::gamma_basis`]; its low-rank factor
-    /// is built on the first selection-side query.
+    /// The cached γ kernel of `x_pre` behind every γ query between two
+    /// reactance vectors. It owns [`MtdSession::gamma_basis`]; its
+    /// low-rank factor is built on the first reactance query.
     fn gamma_kernel(&self) -> Result<&spa::GammaKernel, MtdError> {
         get_or_try(&self.warm.gamma, || {
             spa::GammaKernel::new(&self.net, &self.x_pre, self.h_pre()?)
@@ -568,8 +585,9 @@ impl MtdSession {
 
     /// Scores a perturbation `x_pre → x_post` against the session's
     /// cached attack ensemble: the largest and smallest principal
-    /// angles from the dense pencil, and the detection probabilities of
-    /// [`MtdSession::detection_probabilities`].
+    /// angles from the session's γ kernel
+    /// ([`spa::GammaKernel::gamma_and_smallest_at`]), and the detection
+    /// probabilities of [`MtdSession::detection_probabilities`].
     ///
     /// # Errors
     ///
@@ -603,7 +621,9 @@ impl MtdSession {
         attacks: &[FdiAttack],
     ) -> Result<MtdEvaluation, MtdError> {
         let h_post = net.measurement_matrix(x_post)?;
-        let (gamma, smallest_angle) = self.gamma_basis()?.gamma_and_smallest_to(&h_post)?;
+        let (gamma, smallest_angle) = self
+            .gamma_kernel()?
+            .gamma_and_smallest_at(net, x_post, &h_post)?;
         let bdd = self.detector(h_post)?;
         let detection_probs = self
             .ensemble_scorer(net, x_post, &bdd)?
@@ -728,14 +748,15 @@ impl MtdSession {
     ) -> Result<Vec<RandomTrial>, MtdError> {
         let attacks = self.attacks()?;
         let base = crate::seedstream::domain(self.cfg.seed, 0xfeed);
-        let basis = self.gamma_basis()?;
+        let kernel = self.gamma_kernel()?;
         let trial_ids: Vec<u64> = (0..n_trials as u64).collect();
         parallel::par_map(&trial_ids, |_, &t| {
             let mut rng = StdRng::seed_from_u64(crate::seedstream::mix(base, t));
             let x_post =
                 selection::random_perturbation(&self.net, &self.x_pre, fraction, &mut rng)?;
             let h_post = self.net.measurement_matrix(&x_post)?;
-            let (gamma, smallest_angle) = basis.gamma_and_smallest_to(&h_post)?;
+            let (gamma, smallest_angle) =
+                kernel.gamma_and_smallest_at(&self.net, &x_post, &h_post)?;
             // Angles first so `h_post` can move into the detector
             // unclone'd.
             let bdd = self.detector(h_post)?;
@@ -904,20 +925,19 @@ impl MtdSession {
             .net
             .scale_loads(day.trace.scaling_factor(hour, day.nominal_total));
 
-        let (x_now, outcome) = parallel::with_thread_budget(budget, || {
+        let (x_now, h_now, kernel_now, outcome) = parallel::with_thread_budget(budget, || {
             // 1. No-MTD OPF for this hour (warm start from previous hour).
             let (x_now, opf_now) =
                 selection::baseline_opf_impl(&net_now, &self.x_pre, &self.cfg, self.pf_proto()?)?;
 
-            let outcome = {
+            {
                 // 2. Attacker's knowledge: last hour's matrix — exactly the
                 // session's cached `H(x_pre)` and γ kernel, built once per
-                // hour and shared by the ensemble, every γ-grid candidate's
-                // selection and the effectiveness evaluations.
+                // hour (or inherited from the previous hour's step) and
+                // shared by the ensemble, every γ-grid candidate's
+                // selection and evaluation, and the reported angles.
                 let h_stale = self.h_pre()?;
                 let stale_kernel = self.gamma_kernel()?;
-                let stale_basis = stale_kernel.basis();
-                let h_now = self.net.measurement_matrix(&x_now)?;
 
                 // Attack ensemble against the stale matrix, scaled by the
                 // stale operating point (what the attacker eavesdropped).
@@ -991,28 +1011,32 @@ impl MtdSession {
                 }
                 let (gamma_threshold, sel, eta) = chosen.ok_or(MtdError::Infeasible)?;
 
-                let h_post = self.net.measurement_matrix(&sel.x_post)?;
-                HourOutcome {
+                // 4. The angles of Fig. 11, all between reactance vectors:
+                // two on the stale kernel, one on the kernel of `x_now`,
+                // which the next hour inherits with `H(x_now)`.
+                let h_now = self.net.measurement_matrix(&x_now)?;
+                let kernel_now = spa::GammaKernel::new(&self.net, &x_now, &h_now)?;
+                let outcome = HourOutcome {
                     hour,
                     total_load_mw: net_now.total_load(),
                     cost_no_mtd: opf_now.cost,
                     cost_with_mtd: sel.opf.cost,
                     cost_increase_percent: cost::cost_increase_percent(opf_now.cost, sel.opf.cost),
-                    gamma_drift: stale_basis.gamma_to(&h_now)?,
-                    gamma_defense: stale_basis.gamma_to(&h_post)?,
-                    gamma_current: spa::gamma(&h_now, &h_post)?,
+                    gamma_drift: stale_kernel.gamma_at(&self.net, &x_now)?,
+                    gamma_defense: stale_kernel.gamma_at(&self.net, &sel.x_post)?,
+                    gamma_current: kernel_now.gamma_at(&self.net, &sel.x_post)?,
                     gamma_threshold,
                     effectiveness: eta,
                     target_met: eta >= day.opts.target_eta,
-                }
-            };
-            Ok::<_, MtdError>((x_now, outcome))
+                };
+                Ok::<_, MtdError>((x_now, h_now, kernel_now, outcome))
+            }
         })?;
 
-        // 4. Advance the attacker's knowledge to this hour's no-MTD
-        // reactances (invalidates the `x_pre`-keyed caches; the
-        // topology-keyed symbolic state survives).
-        self.set_x_pre(x_now);
+        // 5. Advance the attacker's knowledge to this hour's no-MTD
+        // reactances: the `x_pre`-keyed caches restart from `H(x_now)`
+        // and its kernel; the topology-keyed symbolic state survives.
+        self.advance_x_pre(x_now, h_now, kernel_now);
         if let Some(d) = self.day.as_mut() {
             d.hour += 1;
             if d.hour >= d.trace.len() {

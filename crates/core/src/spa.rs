@@ -30,20 +30,28 @@
 //! orthonormal basis `Q₁` of `Col(H_pre)` ([`gridmtd_linalg::diff`]).
 //! [`GammaBasis`] solves it for any matrix pair on a dense `H'`: a
 //! `k × k` eigensolve per query. That is the path of [`gamma`],
-//! [`smallest_angle`], [`angles`], Theorem 1, evaluation, the keyspace
-//! trials and the timeline's reported angles, which make one query per
-//! operation and (evaluation) need `H'` for the detector anyway.
+//! [`smallest_angle`], [`angles`] and Theorem 1, which compare
+//! arbitrary matrices.
 //!
-//! The selection instead asks `sin²γ` and its gradient about a hundred
-//! times per call, always as a function of reactances. There `H(x)`
-//! differs from `H_pre` only on the lines `C` that `x` moves, so
-//! `B − A = ΔHᵀP⊥ΔH` has rank at most `|C| ≤ |L_D|` — the column-space
-//! intersection structure of Zhang et al., "Analysis of MTD Against FDI
-//! Attacks on Power Grid". [`GammaKernel`] caches `P⊥M_D` and its QR
-//! triangle per `x_pre` and solves the pencil on that `|L_D|`-dimensional
-//! range, from branch stamps, with no dense `H(x)`: the L-BFGS state and
-//! gradient, the exact-γ audit and the γ ceiling all take it. Both
-//! solvers agree to roundoff; neither is chosen at run time.
+//! Every γ a session asks between two reactance vectors — the
+//! selection's `sin²γ` state and gradient (about a hundred per call),
+//! the exact-γ audit, the γ ceiling, evaluation, the keyspace trials and
+//! the timeline's three reported angles — goes through [`GammaKernel`]
+//! instead. There `H(x)` differs from `H_pre` only on the lines `C` that
+//! `x` moves, so `B − A = ΔHᵀP⊥ΔH` has rank at most `|C|` — the
+//! column-space intersection structure of Zhang et al., "Analysis of
+//! MTD Against FDI Attacks on Power Grid". [`GammaKernel`] caches `P⊥M_D`
+//! and its QR triangle per `x_pre` and solves the pencil on that
+//! `|L_D|`-dimensional range, from branch stamps, with no dense `H(x)`.
+//!
+//! The same rank fixes the smallest angle: when `|C| < n` the pencil has
+//! a zero eigenvalue, so the column spaces intersect and the smallest
+//! angle is exactly 0, with no eigensolve
+//! ([`GammaKernel::gamma_and_smallest_at`]). When `|C| ≥ n` the range is
+//! no smaller than the state space; there both angles come from the
+//! dense pencil on the `H(x)` the caller holds (an evaluation builds it
+//! for the detector anyway). The detection scorer switches at the same
+//! point. Both solvers agree to roundoff; nothing tunes the switch.
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -136,9 +144,12 @@ impl GammaBasis {
     }
 }
 
-/// The selection's `sin²γ` kernel: `γ(H(x_pre), H(x))` as a function of
-/// the reactances `x`, solved on the low-rank range of the perturbation
-/// instead of on a dense `H(x)`.
+/// The session's γ kernel: `γ(H(x_pre), H(x))` as a function of the
+/// reactances `x`, solved on the low-rank range of the perturbation
+/// instead of on a dense `H(x)`. The selection reads its `sin²γ` state
+/// and gradient off it; evaluation, the keyspace trials and the
+/// timeline read their angles ([`GammaKernel::gamma_and_smallest_at`],
+/// [`GammaKernel::gamma_at`]).
 ///
 /// `H(x) = M·diag(b(x))·A` ([`Network::branch_measurement_rows`]) moves
 /// only on the lines `C` whose susceptance differs from `x_pre`'s:
@@ -155,8 +166,7 @@ impl GammaBasis {
 /// `R_Y` for the lines `S` a selection moves — the D-FACTS lines `L_D`,
 /// plus any line where `x_pre` is off its nominal value, since
 /// candidates are assembled from the nominal reactances. That factor is
-/// built on the first reactance query, so a session that only evaluates
-/// pays for the basis alone. Per candidate
+/// built on the first reactance query. Per candidate
 /// it assembles `B(x) = H(x)ᵀH(x)` from branch stamps
 /// ([`Network::measurement_gram`]) and solves the pencil on its
 /// `|S|`-dimensional range ([`LowRankPencil`]): one `k × k` Cholesky,
@@ -193,14 +203,105 @@ struct RangeFactor {
     r_y: Matrix,
 }
 
-/// The range of one query's pencil: the changed lines `C`, their
-/// susceptance steps, and the factor columns holding them.
+/// The range of one query's pencil: the changed lines `C` and the
+/// factor columns holding them.
 struct PerturbationRange<'a> {
-    changed: Vec<usize>,
-    delta: Vec<f64>,
+    changed: ChangedLines,
     /// Column of the factor's `y` and `r_y` for each changed line.
     cols: Vec<usize>,
     factor: Cow<'a, RangeFactor>,
+}
+
+/// One changed line of a reactance step: its reduced terminal columns
+/// (`None`: slack) and its susceptance step `Δ_l`.
+#[derive(Debug, Clone)]
+pub(crate) struct LineStep {
+    line: usize,
+    from: Option<usize>,
+    to: Option<usize>,
+    delta: f64,
+}
+
+impl LineStep {
+    /// The line's index.
+    pub(crate) fn line(&self) -> usize {
+        self.line
+    }
+
+    /// `Δ_l (c_from − c_to)`: this line's entry of `u = Δ·A_C·c`.
+    pub(crate) fn apply(&self, c: &[f64]) -> f64 {
+        self.delta * (self.from.map_or(0.0, |i| c[i]) - self.to.map_or(0.0, |i| c[i]))
+    }
+}
+
+/// The lines `C` whose susceptance a step `x_pre → x` changes, with
+/// `Δ = diag(b_C(x) − b_C(x_pre))` and their reduced ends: the range
+/// `H(x) − H(x_pre) = M_C·Δ·A_C` that the γ kernel and the detection
+/// scorer both work on.
+#[derive(Debug, Clone)]
+pub(crate) struct ChangedLines {
+    /// One step per changed line, by ascending line index.
+    steps: Vec<LineStep>,
+    n_states: usize,
+}
+
+impl ChangedLines {
+    /// The changed lines between two susceptance vectors of `net`.
+    fn from_susceptances(net: &Network, b_pre: &[f64], b: &[f64]) -> ChangedLines {
+        let steps = (0..b.len())
+            .filter(|&l| b[l] != b_pre[l])
+            .map(|l| {
+                let br = net.branch(l);
+                LineStep {
+                    line: l,
+                    from: net.reduced_index(br.from),
+                    to: net.reduced_index(br.to),
+                    delta: b[l] - b_pre[l],
+                }
+            })
+            .collect();
+        ChangedLines {
+            steps,
+            n_states: net.n_states(),
+        }
+    }
+
+    /// The changed lines of the step `x_pre → x`.
+    ///
+    /// # Errors
+    ///
+    /// Invalid reactances.
+    pub(crate) fn between(
+        net: &Network,
+        x_pre: &[f64],
+        x: &[f64],
+    ) -> Result<ChangedLines, MtdError> {
+        Ok(ChangedLines::from_susceptances(
+            net,
+            &net.susceptances(x_pre)?,
+            &net.susceptances(x)?,
+        ))
+    }
+
+    /// Whether the range is smaller than the state space, `|C| < n`.
+    /// Then `B − A` (rank ≤ `|C|`) has a zero eigenvalue, the smallest
+    /// principal angle is exactly 0, and a factor of the range is
+    /// cheaper than the dense `n`-dimensional path. When `|C| ≥ n` the
+    /// range saves nothing, and the angles and the noncentralities take
+    /// the dense path.
+    pub(crate) fn is_low_rank(&self) -> bool {
+        self.steps.len() < self.n_states
+    }
+
+    /// The changed line indices, ascending.
+    fn lines(&self) -> impl Iterator<Item = usize> + '_ {
+        self.steps.iter().map(|s| s.line)
+    }
+
+    /// Consumes `self` into its steps.
+    pub(crate) fn into_steps(self) -> Vec<LineStep> {
+        self.steps
+    }
 }
 
 impl GammaKernel {
@@ -242,11 +343,49 @@ impl GammaKernel {
     /// Invalid reactances, a network of another shape, and the
     /// Cholesky/eigensolver failures of [`LowRankPencil::solve`].
     pub fn gamma_at(&self, net: &Network, x: &[f64]) -> Result<f64, MtdError> {
-        let range = self.range(net, x)?;
-        if range.changed.is_empty() {
+        let changed = self.changed(net, x)?;
+        self.gamma_of(net, x, changed)
+    }
+
+    /// `(γ, smallest angle)` between `Col(H(x_pre))` and `Col(H(x))`,
+    /// the largest and the literal smallest principal angle. `h` must be
+    /// `net.measurement_matrix(x)`; it is read only when the step moves
+    /// `|C| ≥ n` lines.
+    ///
+    /// When `|C| < n` (every D-FACTS step on case14 and up) γ is
+    /// [`GammaKernel::gamma_at`] and the smallest angle is exactly 0 by
+    /// rank: `B − A = GᵀG` and `G` has at most `|C|` rows, so the column
+    /// spaces share at least `n − |C|` directions. When `|C| ≥ n` the
+    /// range is no smaller than the state space, and both angles come
+    /// from one dense eigensolve of the pencil against `h`, bit-identical
+    /// to [`GammaBasis::gamma_and_smallest_to`].
+    ///
+    /// # Errors
+    ///
+    /// As [`GammaKernel::gamma_at`], an `h` of the wrong shape, and the
+    /// dense pencil's failures.
+    pub fn gamma_and_smallest_at(
+        &self,
+        net: &Network,
+        x: &[f64],
+        h: &Matrix,
+    ) -> Result<(f64, f64), MtdError> {
+        check_shape(net, h)?;
+        let changed = self.changed(net, x)?;
+        if changed.is_low_rank() {
+            Ok((self.gamma_of(net, x, changed)?, 0.0))
+        } else {
+            self.basis.gamma_and_smallest_to(h)
+        }
+    }
+
+    /// The largest angle of the step to `x`, whose changed lines are
+    /// `changed`.
+    fn gamma_of(&self, net: &Network, x: &[f64], changed: ChangedLines) -> Result<f64, MtdError> {
+        if changed.steps.is_empty() {
             return Ok(0.0);
         }
-        Ok(pencil(net, x, &range)?.angle())
+        Ok(pencil(net, x, &self.range(net, changed)?)?.angle())
     }
 
     /// The differentiable `sin²γ` state at `x`, the state
@@ -258,21 +397,21 @@ impl GammaKernel {
     ///
     /// As [`GammaKernel::gamma_at`].
     pub fn sin_sq_at(&self, net: &Network, x: &[f64]) -> Result<SinSqState, MtdError> {
-        let range = self.range(net, x)?;
-        if range.changed.is_empty() {
+        let changed = self.changed(net, x)?;
+        if changed.steps.is_empty() {
             let zeros = vec![0.0; net.n_measurements()];
             let coeffs = vec![0.0; net.n_states()];
             return Ok(SinSqState::from_residual(0.0, coeffs, &zeros, &zeros));
         }
+        let range = self.range(net, changed)?;
         let pencil = pencil(net, x, &range)?;
         let c = pencil.top_coeffs();
         let hc = net.measurement_apply(x, &c)?;
         // P⊥Hc = Y_C·(Δ·A_C·c): one `m × |S|` product.
         let y = &range.factor.y;
         let mut t = vec![0.0; y.cols()];
-        for ((&l, &d), &col) in range.changed.iter().zip(&range.delta).zip(&range.cols) {
-            let (from, to) = reduced_ends(net, l);
-            t[col] += d * (from.map_or(0.0, |i| c[i]) - to.map_or(0.0, |i| c[i]));
+        for (step, &col) in range.changed.steps.iter().zip(&range.cols) {
+            t[col] += step.apply(&c);
         }
         let residual = y.matvec(&t)?;
         Ok(SinSqState::from_residual(
@@ -283,31 +422,43 @@ impl GammaKernel {
         ))
     }
 
-    /// The changed lines of `x` and the cached — or, for lines outside
-    /// `S`, freshly projected — columns of `Y` and `R` that carry them.
-    fn range(&self, net: &Network, x: &[f64]) -> Result<PerturbationRange<'_>, MtdError> {
+    /// The lines `x` changes against `x_pre`.
+    fn changed(&self, net: &Network, x: &[f64]) -> Result<ChangedLines, MtdError> {
         // `m = 2L + N` and `k = N − 1` fix the branch count too.
+        check_shape(net, self.basis.basis.q())?;
+        Ok(ChangedLines::from_susceptances(
+            net,
+            &self.b_pre,
+            &net.susceptances(x)?,
+        ))
+    }
+
+    /// The cached — or, for lines outside `S`, freshly projected —
+    /// columns of `Y` and `R` that carry the changed lines.
+    fn range(
+        &self,
+        net: &Network,
+        changed: ChangedLines,
+    ) -> Result<PerturbationRange<'_>, MtdError> {
         let q = self.basis.basis.q();
-        check_shape(net, q)?;
-        let b = net.susceptances(x)?;
-        let changed: Vec<usize> = (0..b.len()).filter(|&l| b[l] != self.b_pre[l]).collect();
-        let delta = changed.iter().map(|&l| b[l] - self.b_pre[l]).collect();
         let factor = self
             .factor
             .get_or_init(|| RangeFactor::build(net, q, &self.lines))
             .as_ref()
             .map_err(|e| MtdError::Numerical(e.clone()))?;
-        let cached: Option<Vec<usize>> = changed.iter().map(|&l| factor.slot[l]).collect();
+        let cached: Option<Vec<usize>> = changed.lines().map(|l| factor.slot[l]).collect();
         let (cols, factor) = match cached {
             Some(cols) => (cols, Cow::Borrowed(factor)),
-            None => (
-                (0..changed.len()).collect(),
-                Cow::Owned(RangeFactor::build(net, q, &changed)?),
-            ),
+            None => {
+                let lines: Vec<usize> = changed.lines().collect();
+                (
+                    (0..lines.len()).collect(),
+                    Cow::Owned(RangeFactor::build(net, q, &lines)?),
+                )
+            }
         };
         Ok(PerturbationRange {
             changed,
-            delta,
             cols,
             factor,
         })
@@ -324,14 +475,13 @@ fn pencil(
     // on C and drop out of G.
     let rows = range.cols.iter().max().map_or(0, |&c| c + 1);
     let mut gt = Matrix::zeros(net.n_states(), rows);
-    for ((&l, &d), &col) in range.changed.iter().zip(&range.delta).zip(&range.cols) {
-        let (from, to) = reduced_ends(net, l);
+    for (step, &col) in range.changed.steps.iter().zip(&range.cols) {
         for j in 0..=col {
-            let coef = d * range.factor.r_y[(j, col)];
-            if let Some(f) = from {
+            let coef = step.delta * range.factor.r_y[(j, col)];
+            if let Some(f) = step.from {
                 gt[(f, j)] += coef;
             }
-            if let Some(t) = to {
+            if let Some(t) = step.to {
                 gt[(t, j)] -= coef;
             }
         }
@@ -352,12 +502,6 @@ fn check_shape(net: &Network, m: &Matrix) -> Result<(), MtdError> {
         }
         .into())
     }
-}
-
-/// Reduced-state columns of a branch's terminal buses (`None`: slack).
-fn reduced_ends(net: &Network, l: usize) -> (Option<usize>, Option<usize>) {
-    let br = net.branch(l);
-    (net.reduced_index(br.from), net.reduced_index(br.to))
 }
 
 impl RangeFactor {

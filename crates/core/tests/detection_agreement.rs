@@ -18,7 +18,7 @@ mod per_term;
 
 use gridmtd_attack::FdiAttack;
 use gridmtd_core::effectiveness::{build_attack_set_with_h, detection_probabilities_parallel};
-use gridmtd_core::{seedstream, selection, MtdConfig, MtdError, MtdSession, TimelineOptions};
+use gridmtd_core::{seedstream, selection, spa, MtdConfig, MtdError, MtdSession, TimelineOptions};
 use gridmtd_estimation::{BadDataDetector, EstimationError, NoiseModel, StateEstimator};
 use gridmtd_powergrid::{cases, Network};
 use gridmtd_traces::LoadTrace;
@@ -270,13 +270,11 @@ fn a_timeline_hour_agrees() {
         .build()
         .unwrap();
     let sel = hour.select(outcome.gamma_threshold).unwrap();
-    let h_post = net.measurement_matrix(&sel.x_post).unwrap();
+    // The hour reports γ off the stale γ kernel; a kernel of the same
+    // `x_pre` gives the same bits.
+    let stale = spa::GammaKernel::new(&net, &x_pre, hour.h_pre().unwrap()).unwrap();
     assert_eq!(
-        hour.gamma_basis()
-            .unwrap()
-            .gamma_to(&h_post)
-            .unwrap()
-            .to_bits(),
+        stale.gamma_at(&net, &sel.x_post).unwrap().to_bits(),
         outcome.gamma_defense.to_bits(),
         "the rebuilt hour selects the hour's x_post"
     );

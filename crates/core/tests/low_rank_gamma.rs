@@ -1,11 +1,12 @@
 //! The low-rank `sin²γ` kernel against the dense pencil.
 //!
-//! Every selection-side γ query — the L-BFGS state and gradient, the
-//! exact-γ audit, the γ ceiling — runs on [`spa::GammaKernel`], which
-//! solves the pencil `(B − A)c = s·Bc` on the `|C|`-dimensional range of
-//! the lines `C` a candidate moves instead of on a dense `H(x)`. This file
-//! checks it against the dense pencil ([`spa::GammaBasis::sin_sq_to`])
-//! that evaluation and arbitrary matrix pairs keep:
+//! Every γ query a session makes between two reactance vectors — the
+//! L-BFGS state and gradient, the exact-γ audit, the γ ceiling,
+//! evaluation, the keyspace trials and the timeline's angles — runs on
+//! [`spa::GammaKernel`], which solves the pencil `(B − A)c = s·Bc` on the
+//! `|C|`-dimensional range of the lines `C` a candidate moves instead of
+//! on a dense `H(x)`. This file checks it against the dense pencil
+//! ([`spa::GammaBasis`]) that arbitrary matrix pairs keep:
 //!
 //! * on case4 through case118 (case300 at its nominal point), 50 seeded points of the ±50 % D-FACTS box
 //!   per pre-perturbation point agree in `sin²γ` to 1e-10 relative and in
@@ -18,11 +19,20 @@
 //!   device, so the moved set is not a subset of `L_D`; every second
 //!   point also moves a line outside the kernel's cached set;
 //! * the Appendix C bound `‖(I − P_{H′})a‖ ≤ sin γ·‖a‖` holds at the
-//!   kernel's γ for vectors `a ∈ Col(H_pre)`.
+//!   kernel's γ for vectors `a ∈ Col(H_pre)`;
+//! * the session's reported angles — `MtdEvaluation::{gamma,
+//!   smallest_angle}` on case14–case118 at the nominal and spread
+//!   `x_pre`, six keyspace trials, and all three angles of every hour of
+//!   the case14 `nyiso_winter_weekday` day — agree with the dense pencil
+//!   within 1e-10 relative, or within its resolution for tiny angles;
+//! * the rank rule: the smallest angle is exactly 0 when a step moves
+//!   `|C| < n` lines, and when `|C| ≥ n` (case4's D-FACTS steps, steps
+//!   that move every branch) both angles are the dense pencil's bits.
 
-use gridmtd_core::{selection, spa};
+use gridmtd_core::{seedstream, selection, spa, MtdConfig, MtdSession, TimelineOptions};
 use gridmtd_linalg::{vector, Cholesky, Matrix};
-use gridmtd_powergrid::{cases, Network};
+use gridmtd_powergrid::{cases, Branch, Bus, Generator, Network};
+use gridmtd_traces::nyiso_winter_weekday;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -220,4 +230,250 @@ fn kernel_rejects_a_network_of_another_shape() {
     let mut bad = x_pre.clone();
     bad[0] = -1.0;
     assert!(kernel.gamma_at(&net, &bad).is_err());
+}
+
+/// A session's γ against the dense pencil's: within 1e-10 relative, or
+/// within the dense pencil's own resolution. That pencil forms `B − A`
+/// as a difference of `k × k` Gram matrices, so it resolves `sin²γ` only
+/// to about 1e-16 absolute: a 7e-6 rad angle of the full case14 day
+/// (`sin²γ` 5.4e-11) came out 2e-6 relative off the kernel's, which
+/// forms `GᵀG` directly.
+fn assert_close(what: &str, session: f64, dense: f64) {
+    let rel = (session - dense).abs() / dense.abs().max(1e-300);
+    let sin_sq_gap = (session.sin().powi(2) - dense.sin().powi(2)).abs();
+    assert!(
+        rel <= 1e-10 || sin_sq_gap <= 1e-15,
+        "{what}: session γ {session:e} vs dense {dense:e} (rel {rel:e}, sin² gap {sin_sq_gap:e})"
+    );
+}
+
+/// A small ensemble: the angles do not depend on it.
+fn angle_session(net: &Network, x_pre: &[f64]) -> MtdSession {
+    MtdSession::builder(net.clone())
+        .config(MtdConfig {
+            n_attacks: 4,
+            ..MtdConfig::default()
+        })
+        .x_pre(x_pre.to_vec())
+        .build()
+        .unwrap()
+}
+
+#[test]
+fn evaluation_angles_match_the_dense_pencil_case14_to_case118() {
+    for (name, net) in [
+        ("case14", cases::case14()),
+        ("case30", cases::case30()),
+        ("case57", cases::case57()),
+        ("case118", cases::case118()),
+    ] {
+        let dfacts = net.dfacts_branches();
+        assert!(dfacts.len() < net.n_states());
+        for (where_, x_pre, _) in pre_points(&net).into_iter().take(2) {
+            let session = angle_session(&net, &x_pre);
+            let dense = session.gamma_basis().unwrap();
+            let mut rng = StdRng::seed_from_u64(0x24 ^ net.n_buses() as u64);
+            for i in 0..4 {
+                // Assembled from the nominal reactances, as selections are.
+                let mut x_post = net.nominal_reactances();
+                for &l in &dfacts {
+                    x_post[l] *= 1.0 + rng.gen_range(-0.5..0.5);
+                }
+                let eval = session.evaluate(&x_post).unwrap();
+                let (gamma, smallest) = dense
+                    .gamma_and_smallest_to(&net.measurement_matrix(&x_post).unwrap())
+                    .unwrap();
+                let what = format!("{name}/{where_} point {i}");
+                assert_close(&what, eval.gamma, gamma);
+                // |C| = |L_D| < n: the spaces intersect, so the smallest
+                // angle is exactly 0; the pencil resolves it to ~1e-8.
+                assert_eq!(eval.smallest_angle, 0.0, "{what}");
+                assert!(smallest < 1e-6, "{what}: dense smallest {smallest}");
+            }
+        }
+    }
+}
+
+/// The complete graph on four buses, every line with a D-FACTS device:
+/// `L = 6 = 2n` lines, so a step that moves `|C| ≥ n` of them can tilt
+/// `Col(H)` off itself entirely. Every checked-in grid has `L < 2n`,
+/// where `Col(H)` and `Col(H′)` share at least `2n − L` directions for
+/// any step and the smallest angle is 0 on both sides of the rank rule.
+fn complete4() -> Network {
+    let buses = vec![
+        Bus::with_load(50.0),
+        Bus::with_load(170.0),
+        Bus::with_load(200.0),
+        Bus::with_load(80.0),
+    ];
+    let reactances = [0.05, 0.037, 0.06, 0.045, 0.04, 0.064];
+    let ends = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)];
+    let branches = ends
+        .iter()
+        .zip(reactances)
+        .map(|(&(f, t), x)| Branch::new(f, t, x, 500.0).with_dfacts())
+        .collect();
+    let gens = vec![
+        Generator::linear(0, 350.0, 20.0),
+        Generator::linear(3, 300.0, 30.0),
+    ];
+    Network::new("complete4", buses, branches, gens, 0).unwrap()
+}
+
+#[test]
+fn steps_of_at_least_n_lines_keep_the_dense_bits() {
+    // case4: n = 3 states and all 4 lines carry D-FACTS; moving 3 (= n)
+    // or 4 lines takes the dense pencil for both angles. case14 and
+    // case30: steps that move every branch. complete4: 3 or 6 of its 6
+    // lines, where the smallest angle is not 0.
+    let moved = |net: &Network, lines: &[usize]| {
+        let mut x = net.nominal_reactances();
+        for (k, &l) in lines.iter().enumerate() {
+            x[l] *= 1.0 + 0.35 * (1.7 * (k + 1) as f64).sin();
+        }
+        x
+    };
+    let case4 = cases::case4();
+    let k4 = complete4();
+    let mut steps = vec![
+        ("case4, 3 lines", case4.clone(), moved(&case4, &[0, 1, 2])),
+        (
+            "case4, 4 lines",
+            case4.clone(),
+            moved(&case4, &[0, 1, 2, 3]),
+        ),
+        ("complete4, 3 lines", k4.clone(), moved(&k4, &[0, 3, 5])),
+        (
+            "complete4, 6 lines",
+            k4.clone(),
+            moved(&k4, &[0, 1, 2, 3, 4, 5]),
+        ),
+    ];
+    for (name, net) in [("case14", cases::case14()), ("case30", cases::case30())] {
+        let all: Vec<usize> = (0..net.n_branches()).collect();
+        steps.push((name, net.clone(), moved(&net, &all)));
+    }
+    for (what, net, x_post) in steps {
+        let session = angle_session(&net, &net.nominal_reactances());
+        let h_post = net.measurement_matrix(&x_post).unwrap();
+        let eval = session.evaluate(&x_post).unwrap();
+        let (gamma, smallest) = session
+            .gamma_basis()
+            .unwrap()
+            .gamma_and_smallest_to(&h_post)
+            .unwrap();
+        assert_eq!(eval.gamma.to_bits(), gamma.to_bits(), "{what}: γ");
+        assert_eq!(
+            eval.smallest_angle.to_bits(),
+            smallest.to_bits(),
+            "{what}: smallest angle"
+        );
+        if net.n_branches() >= 2 * net.n_states() {
+            assert!(smallest > 1e-3, "{what}: smallest angle {smallest}");
+        }
+    }
+    // Fewer lines than states: the smallest angle is exactly 0.
+    for (what, net, lines) in [("case4", &case4, [1, 3]), ("complete4", &k4, [2, 4])] {
+        let session = angle_session(net, &net.nominal_reactances());
+        let x_post = moved(net, &lines);
+        let eval = session.evaluate(&x_post).unwrap();
+        let (gamma, _) = session
+            .gamma_basis()
+            .unwrap()
+            .gamma_and_smallest_to(&net.measurement_matrix(&x_post).unwrap())
+            .unwrap();
+        assert_close(&format!("{what}, 2 lines"), eval.gamma, gamma);
+        assert_eq!(eval.smallest_angle, 0.0, "{what}, 2 lines");
+    }
+}
+
+#[test]
+fn keyspace_trial_angles_match_the_dense_pencil() {
+    // case14 moves its 6 D-FACTS lines of 13 states (the kernel); case4
+    // moves all 4 lines of 3 states (the dense pencil's bits).
+    for (name, net, fraction) in [
+        ("case14", cases::case14(), 0.3),
+        ("case4", cases::case4(), 0.2),
+    ] {
+        let x_pre = net.nominal_reactances();
+        let session = angle_session(&net, &x_pre);
+        let trials = session.keyspace_study(fraction, 6, &[0.5]).unwrap();
+        assert_eq!(trials.len(), 6);
+        let dense = session.gamma_basis().unwrap();
+        let base = seedstream::domain(session.config().seed, 0xfeed);
+        for trial in &trials {
+            let mut rng = StdRng::seed_from_u64(seedstream::mix(base, trial.trial as u64));
+            let x_post = selection::random_perturbation(&net, &x_pre, fraction, &mut rng).unwrap();
+            let gamma = dense
+                .gamma_to(&net.measurement_matrix(&x_post).unwrap())
+                .unwrap();
+            let what = format!("{name} trial {}", trial.trial);
+            if net.dfacts_branches().len() < net.n_states() {
+                assert_close(&what, trial.gamma, gamma);
+            } else {
+                assert_eq!(trial.gamma.to_bits(), gamma.to_bits(), "{what}");
+            }
+        }
+    }
+}
+
+#[test]
+fn timeline_angles_match_the_dense_pencil_every_hour() {
+    // The settings of `scenarios/timeline_case14.toml`.
+    let net = cases::case14();
+    let cfg = MtdConfig {
+        n_attacks: 200,
+        n_starts: 2,
+        max_evals_per_start: 200,
+        noise_sigma_mw: 0.1,
+        ..MtdConfig::default()
+    };
+    let trace = nyiso_winter_weekday();
+    let nominal = net.total_load();
+    let mut day = MtdSession::builder(net.clone())
+        .config(cfg.clone())
+        .build()
+        .unwrap();
+    day.begin_day(&trace, &TimelineOptions::default()).unwrap();
+    let mut hours = 0;
+    while day.hours_remaining() > 0 {
+        let x_pre = day.x_pre().to_vec();
+        let outcome = day.step_hour().unwrap();
+        let x_now = day.x_pre().to_vec();
+        // The hour's selection, rebuilt on its grid from its stale
+        // knowledge: the same selection to the bit.
+        let sel = MtdSession::builder(net.scale_loads(trace.scaling_factor(outcome.hour, nominal)))
+            .config(cfg.clone())
+            .x_pre(x_pre.clone())
+            .build()
+            .unwrap()
+            .select(outcome.gamma_threshold)
+            .unwrap();
+        assert_eq!(sel.opf.cost.to_bits(), outcome.cost_with_mtd.to_bits());
+
+        let h = |x: &[f64]| net.measurement_matrix(x).unwrap();
+        let stale = spa::GammaBasis::new(&h(&x_pre)).unwrap();
+        let what = |angle: &str| format!("hour {}: {angle}", outcome.hour);
+        if x_now == x_pre {
+            assert_eq!(outcome.gamma_drift, 0.0, "{}", what("drift"));
+        } else {
+            assert_close(
+                &what("drift"),
+                outcome.gamma_drift,
+                stale.gamma_to(&h(&x_now)).unwrap(),
+            );
+        }
+        assert_close(
+            &what("defense"),
+            outcome.gamma_defense,
+            stale.gamma_to(&h(&sel.x_post)).unwrap(),
+        );
+        assert_close(
+            &what("current"),
+            outcome.gamma_current,
+            spa::gamma(&h(&x_now), &h(&sel.x_post)).unwrap(),
+        );
+        hours += 1;
+    }
+    assert_eq!(hours, 24);
 }

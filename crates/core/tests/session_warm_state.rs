@@ -12,10 +12,13 @@
 //!   pinned with `gridmtd_estimation::gain_symbolic_analyses`.
 //!
 //! And a warm session's outputs must be **bit-identical** to a fresh
-//! session's, and its angles to the public free functions
-//! (`spa::gamma`, `spa::smallest_angle`) composed by hand, on the
-//! paper-scale cases and on the scaling cases alike (the scenario
-//! goldens pin the same property end to end at the artifact level).
+//! session's, on the paper-scale cases and on the scaling cases alike
+//! (the scenario goldens pin the same property end to end at the
+//! artifact level). Its angles come from the low-rank γ kernel: γ
+//! agrees with the public free function `spa::gamma` (the dense pencil)
+//! within 1e-10 relative, and for a D-FACTS step (`|C| < n` changed
+//! lines) the smallest angle is exactly 0, where `spa::smallest_angle`
+//! resolves the same zero only to about 1e-8.
 //! Its detection probabilities come from the low-rank ensemble scorer;
 //! they agree with the residual path (`build_attack_set_with_h` and
 //! `detection_probabilities_parallel` under a hand-built detector)
@@ -37,6 +40,15 @@ fn fresh(net: &Network, x_pre: &[f64], cfg: &MtdConfig) -> MtdSession {
         .x_pre(x_pre.to_vec())
         .build()
         .unwrap()
+}
+
+/// A session's γ against the dense pencil's: within 1e-10 relative.
+fn assert_gamma_matches_dense(name: &str, session: f64, dense: f64) {
+    let rel = (session - dense).abs() / dense;
+    assert!(
+        rel <= 1e-10,
+        "{name}: session γ {session} vs dense {dense} (rel {rel:e})"
+    );
 }
 
 fn tiny_cfg() -> MtdConfig {
@@ -108,21 +120,21 @@ fn session_reuses_warm_state_and_matches_free_functions() {
         free14,
         "warm evaluate must be bit-identical to a fresh session's"
     );
-    // The free angle functions solve the same pencil against a one-off
-    // basis: the session's bits, and no cached-basis build counted.
+    // The free angle functions solve the dense pencil against a one-off
+    // basis: the session's γ to roundoff, the smallest angle's zero to
+    // the pencil's resolution, and no cached-basis build counted.
     let h_pre14 = net14
         .measurement_matrix(&net14.nominal_reactances())
         .unwrap();
     let h_post14 = net14.measurement_matrix(&x_post14).unwrap();
     let builds_before = spa::gamma_basis_builds();
-    assert_eq!(
-        spa::gamma(&h_pre14, &h_post14).unwrap().to_bits(),
-        free14.gamma.to_bits()
+    assert_gamma_matches_dense(
+        "case14",
+        free14.gamma,
+        spa::gamma(&h_pre14, &h_post14).unwrap(),
     );
-    assert_eq!(
-        spa::smallest_angle(&h_pre14, &h_post14).unwrap().to_bits(),
-        free14.smallest_angle.to_bits()
-    );
+    assert_eq!(free14.smallest_angle, 0.0, "6 changed lines < 13 states");
+    assert!(spa::smallest_angle(&h_pre14, &h_post14).unwrap() < 1e-6);
     assert_eq!(
         spa::gamma_basis_builds(),
         builds_before,
@@ -194,7 +206,8 @@ fn session_reuses_warm_state_and_matches_free_functions() {
     // ------------------------------------------------------------------
     // case118: the largest gated case — evaluation and raw detection
     // probabilities, session vs the free functions composed by hand: the
-    // ensemble and the angles to the bit, the probabilities within 1e-12.
+    // ensemble to the bit, γ within 1e-10 relative, the smallest angle
+    // exactly 0 and the probabilities within 1e-12.
     // ------------------------------------------------------------------
     let net118 = cases::case118();
     let cfg118 = MtdConfig {
@@ -229,15 +242,14 @@ fn session_reuses_warm_state_and_matches_free_functions() {
         let bdd = BadDataDetector::new(est, cfg118.alpha);
         effectiveness::detection_probabilities_parallel(&bdd, &attacks118).unwrap()
     };
-    assert_eq!(
-        sess_eval.gamma.to_bits(),
-        spa::gamma(&h118, &h_post118).unwrap().to_bits(),
-        "case118 session γ must be bit-identical to the free path"
+    assert_gamma_matches_dense(
+        "case118",
+        sess_eval.gamma,
+        spa::gamma(&h118, &h_post118).unwrap(),
     );
     assert_eq!(
-        sess_eval.smallest_angle.to_bits(),
-        spa::smallest_angle(&h118, &h_post118).unwrap().to_bits(),
-        "case118 session smallest angle must be bit-identical to the free path"
+        sess_eval.smallest_angle, 0.0,
+        "case118: a D-FACTS step moves fewer lines than there are states"
     );
     let sess_probs = session118.detection_probabilities(&x_post118).unwrap();
     assert_eq!(

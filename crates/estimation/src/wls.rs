@@ -593,6 +593,26 @@ mod tests {
     }
 
     #[test]
+    fn gain_block_solve_is_bit_identical_to_column_solves_on_case300() {
+        // The largest case's gain pattern, with one right-hand side per
+        // D-FACTS line: the block a case300 evaluation's
+        // `weighted_residual_block` solves.
+        let net = cases::case300();
+        let h = net.measurement_matrix(&net.nominal_reactances()).unwrap();
+        let est = StateEstimator::new(h, &NoiseModel::uniform(net.n_measurements(), 0.5)).unwrap();
+        let (n, cols) = (est.n_states(), net.dfacts_branches().len());
+        assert!(cols >= 100, "case300 carries {cols} D-FACTS lines");
+        let b = Matrix::from_fn(n, cols, |i, j| ((i * 7 + j * 3) as f64 * 0.37).sin());
+        let batched = est.gain.solve_matrix(&b).unwrap();
+        for j in 0..cols {
+            let single = est.gain.solve(&b.col(j)).unwrap();
+            for (i, v) in single.iter().enumerate() {
+                assert_eq!(batched[(i, j)].to_bits(), v.to_bits(), "entry ({i}, {j})");
+            }
+        }
+    }
+
+    #[test]
     fn sparse_backend_recovers_true_state_noiseless() {
         // The paper's 4-bus example, whose 3 states are the smallest
         // system the sparse gain factors.

@@ -409,15 +409,18 @@ impl SparseCholesky {
     }
 
     /// Multi-right-hand-side solve `A X = B`, streaming the factor once
-    /// per column with a single shared workspace. Each column undergoes
-    /// exactly the arithmetic of a standalone [`SparseCholesky::solve`],
-    /// so batched and per-vector results are bit-identical.
+    /// for all columns: the workspace is row-major `n × cols` in the
+    /// permuted basis, so each entry of `L` updates one contiguous row.
+    /// Each column undergoes exactly the arithmetic of a standalone
+    /// [`SparseCholesky::solve`], in the same order, so batched and
+    /// per-vector results are bit-identical.
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if `b.rows() != dim()`.
     pub fn solve_matrix(&self, b: &crate::Matrix) -> Result<crate::Matrix, LinalgError> {
-        let n = self.sym.n;
+        let sym = &*self.sym;
+        let n = sym.n;
         if b.rows() != n {
             return Err(LinalgError::ShapeMismatch {
                 op: "sparse_cholesky_solve_matrix",
@@ -425,16 +428,52 @@ impl SparseCholesky {
                 rhs: b.shape(),
             });
         }
-        let mut out = crate::Matrix::zeros(n, b.cols());
-        let mut w = vec![0.0; n];
-        for c in 0..b.cols() {
-            for (k, &p) in self.sym.perm.iter().enumerate() {
-                w[k] = b[(p, c)];
+        let cols = b.cols();
+        let mut out = crate::Matrix::zeros(n, cols);
+        if cols == 0 {
+            return Ok(out);
+        }
+        let mut w = vec![0.0; n * cols];
+        for (row, &p) in w.chunks_exact_mut(cols).zip(&sym.perm) {
+            row.copy_from_slice(b.row(p));
+        }
+        // Forward: L Y = W. Row j is final before any row below it reads
+        // it, and the entries of column j of L lie below the diagonal.
+        for j in 0..n {
+            let range = sym.l_colptr[j]..sym.l_colptr[j + 1];
+            let (head, tail) = w.split_at_mut((j + 1) * cols);
+            let yj = &mut head[j * cols..];
+            let diag = self.l_vals[range.start];
+            for v in yj.iter_mut() {
+                *v /= diag;
             }
-            self.solve_permuted_in_place(&mut w);
-            for (k, &p) in self.sym.perm.iter().enumerate() {
-                out[(p, c)] = w[k];
+            for p in (range.start + 1)..range.end {
+                let l = self.l_vals[p];
+                let at = (self.l_rowidx[p] - j - 1) * cols;
+                for (wi, &y) in tail[at..at + cols].iter_mut().zip(yj.iter()) {
+                    *wi -= l * y;
+                }
             }
+        }
+        // Backward: Lᵀ X = Y, each row accumulated in place.
+        for j in (0..n).rev() {
+            let range = sym.l_colptr[j]..sym.l_colptr[j + 1];
+            let (head, tail) = w.split_at_mut((j + 1) * cols);
+            let xj = &mut head[j * cols..];
+            for p in (range.start + 1)..range.end {
+                let l = self.l_vals[p];
+                let at = (self.l_rowidx[p] - j - 1) * cols;
+                for (acc, &x) in xj.iter_mut().zip(&tail[at..at + cols]) {
+                    *acc -= l * x;
+                }
+            }
+            let diag = self.l_vals[range.start];
+            for v in xj.iter_mut() {
+                *v /= diag;
+            }
+        }
+        for (row, &p) in w.chunks_exact(cols).zip(&sym.perm) {
+            out.row_mut(p).copy_from_slice(row);
         }
         Ok(out)
     }
@@ -564,17 +603,37 @@ mod tests {
 
     #[test]
     fn solve_matrix_is_bit_identical_to_column_solves() {
-        let a = meshed_spd(15);
-        let sym = Arc::new(SymbolicCholesky::analyze(&a).unwrap());
-        let chol = SparseCholesky::factor(sym, &a).unwrap();
-        let b = Matrix::from_fn(15, 4, |i, j| ((i * 3 + j) as f64 * 0.31).cos());
-        let batched = chol.solve_matrix(&b).unwrap();
-        for j in 0..4 {
-            let single = chol.solve(&b.col(j)).unwrap();
-            for i in 0..15 {
-                assert_eq!(batched[(i, j)].to_bits(), single[i].to_bits());
+        // One column, a few, and more columns than rows; the gain
+        // matrices of the grid cases are checked the same way in
+        // `gridmtd-estimation` (case300: 299 states, 112 columns).
+        for (n, cols) in [(15, 1), (15, 4), (40, 104)] {
+            let a = meshed_spd(n);
+            let sym = Arc::new(SymbolicCholesky::analyze(&a).unwrap());
+            let chol = SparseCholesky::factor(sym, &a).unwrap();
+            let b = Matrix::from_fn(n, cols, |i, j| ((i * 3 + j) as f64 * 0.31).cos());
+            let batched = chol.solve_matrix(&b).unwrap();
+            for j in 0..cols {
+                let single = chol.solve(&b.col(j)).unwrap();
+                for i in 0..n {
+                    assert_eq!(
+                        batched[(i, j)].to_bits(),
+                        single[i].to_bits(),
+                        "n = {n}, entry ({i}, {j})"
+                    );
+                }
             }
         }
+        let a = meshed_spd(6);
+        let chol =
+            SparseCholesky::factor(Arc::new(SymbolicCholesky::analyze(&a).unwrap()), &a).unwrap();
+        assert_eq!(
+            chol.solve_matrix(&Matrix::zeros(6, 0)).unwrap().shape(),
+            (6, 0)
+        );
+        assert!(matches!(
+            chol.solve_matrix(&Matrix::zeros(5, 2)),
+            Err(LinalgError::ShapeMismatch { .. })
+        ));
     }
 
     #[test]
